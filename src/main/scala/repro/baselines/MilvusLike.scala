@@ -17,14 +17,8 @@ final class MilvusLike(
     m: Int,
     efConstruction: Int,
 ) {
-  private val bounds: Array[(Int, Int)] = {
-    val n = vs.n
-    Array.tabulate(parts) { p =>
-      val lo = (n.toLong * p / parts).toInt
-      val hi = (n.toLong * (p + 1) / parts).toInt - 1
-      (lo, hi)
-    }
-  }
+  // Consecutive partitions cut exactly like Filtered-DiskANN's buckets.
+  private val bounds = FilteredDiskann.bucketBounds(vs.n, parts)
 
   val indexes: Array[Hnsw] =
     bounds.map { case (lo, hi) => Hnsw.build(vs, lo, hi, m, efConstruction) }

@@ -10,7 +10,7 @@ import scala.collection.mutable
   * and workloads) don't rebuild anything.
   *
   * Scale knobs come from the environment so the same harness serves smoke
-  * tests (`REPRO_BENCH_N=1024`) and the full bench run (default n = 8192,
+  * tests (`REPRO_BENCH_N=1024`) and the full bench run (default n = 4096,
   * 200 queries, k = 10 — the paper's k).
   */
 object BenchContext {

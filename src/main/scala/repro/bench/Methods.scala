@@ -38,7 +38,7 @@ final case class MethodSuite(
 object MethodSuite {
 
   // Index parameters, scaled from the paper's (m = 16/64, EF = 100/400 at
-  // n = 1M) to our n = 8192 — documented in DESIGN.md.
+  // n = 1M) to our n = 4096 — documented in DESIGN.md.
   val M = 16
   val EF = 100
   val MilvusParts = 10
@@ -55,7 +55,9 @@ object MethodSuite {
     val (irgGraphs, tIrg) = cpuSeconds(repro.core.ElementalGraphBuilder.build(vs, M, EF))
     val irg = new IRangeGraph(vs, irgGraphs)
     val (sparkGraphs, tSparkIrg) = seconds(DistributedBuilder.build(spark, vs, M, EF))
-    require(sparkGraphs.edgeCount == irgGraphs.edgeCount,
+    require(sparkGraphs.numLayers == irgGraphs.numLayers &&
+      irgGraphs.layers.indices.forall(i =>
+        java.util.Arrays.equals(sparkGraphs.layers(i), irgGraphs.layers(i))),
       "Spark and local builds disagree — determinism broken")
 
     val (hnswAll, tHnsw) = cpuSeconds(Hnsw.buildAll(vs, M, EF))

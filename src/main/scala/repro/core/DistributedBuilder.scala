@@ -2,114 +2,54 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 import repro.graph.VecStore
-import scala.collection.mutable
 
 /** Spark-parallel materialization of the elemental graphs.
   *
   * The segment tree's recursive structure makes the lower subtrees
-  * independent: every segment at a chosen cut layer is built in parallel as
-  * one Spark group (`groupByKey.mapGroups` over a Dataset of
-  * (segment, rank, vector) rows), and only the top `cutLayer` layers — whose
-  * candidate searches span sibling subtrees — are finished on the driver
-  * using the already-merged child adjacency. Because the local split
-  * `mid(0, r-l) = mid(l, r) - l`, a subtree built on a sliced [[VecStore]]
-  * is bit-identical to the same subtree built in place, so the distributed
-  * build equals the driver-local build exactly (asserted in tests).
+  * independent: every segment at a chosen cut layer is built as one Spark
+  * task over its [[VecStore.slice]], and only the top `cutLay` layers —
+  * whose candidate searches span sibling subtrees — are finished on the
+  * driver using the already-merged child adjacency. Because the local split
+  * `mid(0, r-l) = mid(l, r) - l`, a subtree built on a slice is bit-identical
+  * to the same subtree built in place, so the distributed build equals the
+  * driver-local build exactly (asserted in tests).
   */
 object DistributedBuilder {
 
-  /** Segments at `cutLay`, plus any leaves that bottom out above it.
-    * Returns (l, r, lay) with `lay` the segment's true layer.
+  /** Build the full index; `cutLay` defaults to 4 (16 parallel subtrees).
+    * The cut is clamped to `depth - 2`, the deepest layer whose segments
+    * still partition the ranks.
     */
-  def segmentsAtCut(n: Int, cutLay: Int): Seq[(Int, Int, Int)] = {
-    val out = mutable.ArrayBuffer.empty[(Int, Int, Int)]
-    def go(l: Int, r: Int, lay: Int): Unit = {
-      if (lay == cutLay || l == r) out += ((l, r, lay))
-      else {
-        val m = SegmentTree.mid(l, r)
-        go(l, m, lay + 1)
-        go(m + 1, r, lay + 1)
-      }
-    }
-    go(0, n - 1, 0)
-    out.toSeq
-  }
-
-  /** Build the full index; `cutLay` defaults to 4 (16 parallel subtrees). */
   def build(spark: SparkSession, vs: VecStore, m: Int, ef: Int,
             cutLay: Int = 4): ElementalGraphs = {
     val n = vs.n
     val depth = SegmentTree.depth(n)
-    val cut = math.max(0, math.min(cutLay, depth - 1))
+    val cut = math.max(0, math.min(cutLay, depth - 2))
     if (cut == 0) return ElementalGraphBuilder.build(vs, m, ef)
 
-    val segs = segmentsAtCut(n, cut)
-    val layers = Array.fill(depth)(Array.fill(n * m)(-1))
-
-    import spark.implicits._
-    val rows: Seq[(Int, Int, Array[Float])] =
-      segs.indices.flatMap { si =>
-        val (l, r, _) = segs(si)
-        (l to r).map(u => (si, u - l, vs.vector(u)))
-      }
-    val mm = m; val efc = ef // avoid capturing `this`-adjacent state
-    val built = spark
-      .createDataset(rows)
-      .groupByKey(_._1)
-      .mapGroups { (si: Int, it: Iterator[(Int, Int, Array[Float])]) =>
-        val sorted = it.toArray.sortBy(_._2)
-        val slice = VecStore.fromRows(sorted.map(_._3))
-        val localDepth = SegmentTree.depth(slice.n)
-        val local = Array.fill(localDepth)(Array.fill(slice.n * mm)(-1))
-        ElementalGraphBuilder.buildInto(slice, local, mm, efc, 0, slice.n - 1, 0)
-        (si, localDepth, local.flatten)
-      }
+    val segs = SegmentTree.segmentsAtLayer(n, cut)
+    val built = spark.sparkContext
+      .parallelize(segs.map { case (l, r) => (l, vs.slice(l, r + 1)) }, segs.length)
+      .map { case (l, slice) => (l, ElementalGraphBuilder.build(slice, m, ef).layers) }
       .collect()
 
     // Merge subtree adjacency into the global layers (local ids -> + l).
-    for ((si, localDepth, flat) <- built) {
-      val (l, r, lay) = segs(si)
-      val size = r - l + 1
-      var d = 0
-      while (d < localDepth) {
-        val global = layers(lay + d)
-        val off = d * size * m
-        var u = 0
-        while (u < size) {
-          var j = 0
-          while (j < m) {
-            val v = flat(off + u * m + j)
-            global((l + u) * m + j) = if (v < 0) -1 else v + l
-            j += 1
-          }
-          u += 1
-        }
-        d += 1
+    val layers = Array.fill(depth)(Array.fill(n * m)(-1))
+    for ((l, sub) <- built; d <- sub.indices) {
+      val src = sub(d)
+      val dst = layers(cut + d)
+      var i = 0
+      while (i < src.length) {
+        val v = src(i)
+        dst(l * m + i) = if (v < 0) -1 else v + l
+        i += 1
       }
     }
 
-    // Finish the top layers on the driver, bottom-up.
-    var lay = cut - 1
-    while (lay >= 0) {
-      for ((l, r) <- segmentsAtLayer(n, lay))
-        ElementalGraphBuilder.buildSegmentLayer(vs, layers, m, ef, l, r, lay)
-      lay -= 1
-    }
+    ElementalGraphBuilder.buildLayers(vs, layers, m, ef, cut - 1)
     new ElementalGraphs(n, m, layers)
   }
 
-  /** Segments exactly at layer `lay` (excludes branches that bottomed out). */
-  def segmentsAtLayer(n: Int, lay: Int): Seq[(Int, Int)] = {
-    val out = mutable.ArrayBuffer.empty[(Int, Int)]
-    def go(l: Int, r: Int, d: Int): Unit = {
-      if (d == lay) out += ((l, r))
-      else if (l < r) {
-        val m = SegmentTree.mid(l, r)
-        go(l, m, d + 1)
-        go(m + 1, r, d + 1)
-      }
-    }
-    go(0, n - 1, 0)
-    out.toSeq
-  }
+  /** Forwarder kept for the benchmark harness (`perfbench/src/BuildTrace.scala`). */
+  def segmentsAtLayer(n: Int, lay: Int): Seq[(Int, Int)] = SegmentTree.segmentsAtLayer(n, lay)
 }

@@ -24,8 +24,12 @@ package repro.core
   */
 object EdgeSelection {
 
-  /** Skipping variant (the real Algorithm 1). Returns the edge count. */
-  def select(g: ElementalGraphs, u: Int, L: Int, R: Int, out: Array[Int]): Int = {
+  /** Algorithm 1 for node u and range [L, R]; returns the edge count.
+    * `skip = false` is the iRangeGraph⁻ ablation: every layer is scanned,
+    * O(m log n), instead of only the boundary-crossing ones.
+    */
+  def select(g: ElementalGraphs, u: Int, L: Int, R: Int, out: Array[Int],
+             skip: Boolean = true): Int = {
     val m = g.m
     var l = 0
     var r = g.n - 1
@@ -35,41 +39,22 @@ object EdgeSelection {
     while (!done && count < m && l < r) {
       val cm = SegmentTree.mid(l, r)
       val (lc, rc) = if (u <= cm) (l, cm) else (cm + 1, r)
-      if (SegmentTree.intersectLen(lc, rc, L, R) == SegmentTree.intersectLen(l, r, L, R)) {
-        // Same intersection: child's edges are equally robust — skip layer.
-        l = lc; r = rc; lay += 1
-      } else {
+      // Same intersection as the child: its edges are equally robust, so the
+      // skipping variant leaves this layer to the child. (A covered segment
+      // never qualifies: its child's intersection is strictly smaller.)
+      if (!skip || SegmentTree.intersectLen(lc, rc, L, R) != SegmentTree.intersectLen(l, r, L, R)) {
         count = appendInRange(g, lay, u, L, R, out, count)
-        if (L <= l && r <= R) done = true
-        else { l = lc; r = rc; lay += 1 }
+        done = L <= l && r <= R
       }
+      l = lc; r = rc; lay += 1
     }
     if (count < out.length) out(count) = -1
     count
   }
 
-  /** Ablation variant: scan every layer (no skipping) — O(m log n). Selects
-    * the same way but pays the full per-layer scan; used by iRangeGraph⁻.
-    */
-  def selectNoSkip(g: ElementalGraphs, u: Int, L: Int, R: Int, out: Array[Int]): Int = {
-    val m = g.m
-    var l = 0
-    var r = g.n - 1
-    var lay = 0
-    var count = 0
-    var done = false
-    while (!done && count < m && l < r) {
-      count = appendInRange(g, lay, u, L, R, out, count)
-      if (L <= l && r <= R) done = true
-      else {
-        val cm = SegmentTree.mid(l, r)
-        if (u <= cm) r = cm else l = cm + 1
-        lay += 1
-      }
-    }
-    if (count < out.length) out(count) = -1
-    count
-  }
+  /** Forwarder kept for the benchmark harness (`perfbench/src/QueryTrace.scala`). */
+  def selectNoSkip(g: ElementalGraphs, u: Int, L: Int, R: Int, out: Array[Int]): Int =
+    select(g, u, L, R, out, skip = false)
 
   /** Append u's in-range layer-`lay` neighbors to out[count..), deduped,
     * stopping at m. Neighbor lists are short (≤ m), so dedup is a linear

@@ -25,17 +25,13 @@ object ElementalGraphBuilder {
   /** Below this size a segment's candidates are simply all its members. */
   def bruteThreshold(m: Int): Int = math.max(2 * m, 32)
 
-  /** Fully build the subtree rooted at segment [l, r] sitting at layer
-    * `lay`, writing into the shared flat `layers` arrays. Children first.
+  /** Build layers `top` down to 0 into the shared flat `layers` arrays,
+    * assuming layer `top + 1` (if any) is already present: every segment of
+    * a layer needs only its children's layer.
     */
-  def buildInto(vs: VecStore, layers: Array[Array[Int]], m: Int, ef: Int,
-                l: Int, r: Int, lay: Int): Unit = {
-    if (l >= r) return
-    val mid = SegmentTree.mid(l, r)
-    buildInto(vs, layers, m, ef, l, mid, lay + 1)
-    buildInto(vs, layers, m, ef, mid + 1, r, lay + 1)
-    buildSegmentLayer(vs, layers, m, ef, l, r, lay)
-  }
+  def buildLayers(vs: VecStore, layers: Array[Array[Int]], m: Int, ef: Int, top: Int): Unit =
+    for (lay <- top to 0 by -1; (l, r) <- SegmentTree.segmentsAtLayer(vs.n, lay))
+      buildSegmentLayer(vs, layers, m, ef, l, r, lay)
 
   /** Build just segment [l, r]'s graph at layer `lay`, assuming its
     * children's graphs at layer `lay + 1` are present in `layers`.
@@ -114,7 +110,7 @@ object ElementalGraphBuilder {
     val n = vs.n
     val depth = SegmentTree.depth(n)
     val layers = Array.fill(depth)(Array.fill(n * m)(-1))
-    buildInto(vs, layers, m, ef, 0, n - 1, 0)
+    buildLayers(vs, layers, m, ef, depth - 1)
     new ElementalGraphs(n, m, layers)
   }
 }

@@ -28,11 +28,7 @@ final class IRangeGraph(val vs: VecStore, val graphs: ElementalGraphs) {
       q, (i: Int) => vs.dist2(i, q),
       entries = IRangeGraph.entries(L, R),
       beam = beam, k = k,
-      neighbors = (u: Int) => {
-        if (skipLayers) EdgeSelection.select(graphs, u, L, R, scratch)
-        else EdgeSelection.selectNoSkip(graphs, u, L, R, scratch)
-        scratch
-      },
+      neighbors = (u: Int) => { EdgeSelection.select(graphs, u, L, R, scratch, skipLayers); scratch },
       stats = stats,
     )
   }

@@ -42,6 +42,25 @@ object SegmentTree {
     (l, r)
   }
 
+  /** Segments exactly at layer `lay`, left to right; a branch that bottomed
+    * out above `lay` contributes nothing. For `lay <= depth(n) - 2` no branch
+    * has bottomed out yet, so the segments partition [0, n). Both index
+    * builders walk the tree bottom-up through this one listing.
+    */
+  def segmentsAtLayer(n: Int, lay: Int): Seq[(Int, Int)] = {
+    val out = mutable.ArrayBuffer.empty[(Int, Int)]
+    def go(l: Int, r: Int, d: Int): Unit = {
+      if (d == lay) out += ((l, r))
+      else if (l < r) {
+        val m = mid(l, r)
+        go(l, m, d + 1)
+        go(m + 1, r, d + 1)
+      }
+    }
+    go(0, n - 1, 0)
+    out.toSeq
+  }
+
   /** Length of [l, r] ∩ [ql, qr] (0 if disjoint). */
   def intersectLen(l: Int, r: Int, ql: Int, qr: Int): Int =
     math.max(0, math.min(r, qr) - math.max(l, ql) + 1)

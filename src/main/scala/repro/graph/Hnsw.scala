@@ -47,18 +47,31 @@ final class Hnsw private (
   private def neighborsAt(level: Int, u: Int): mutable.ArrayBuffer[Int] =
     adjacency(level)(u)
 
-  /** Beam search restricted to one level of the partially built graph. */
-  private def searchLevel(q: Array[Float], entriesIn: Seq[Int], ef: Int, level: Int): Array[Candidate] = {
+  /** Beam search restricted to one level of the (partially built) graph —
+    * the one traversal under insertion, descent and both public searches.
+    */
+  private def searchLevel(q: Array[Float], entriesIn: Seq[Int], beam: Int, k: Int, level: Int,
+                          visit: Int => Boolean = _ => true,
+                          admit: Int => Boolean = _ => true,
+                          stats: SearchStats = null): Array[Candidate] = {
     val adj = adjacency(level)
     BeamSearch.search(
-      q, (i: Int) => vs.dist2(i, q), entriesIn, ef, ef,
-      neighbors = (u: Int) => {
-        val b = adj(u)
-        val out = new Array[Int](b.length)
-        var i = 0; while (i < b.length) { out(i) = b(i); i += 1 }
-        out
-      },
+      q, (i: Int) => vs.dist2(i, q), entriesIn, beam, k,
+      neighbors = (u: Int) => adj(u).toArray,
+      visit = visit, admit = admit, stats = stats,
     )
+  }
+
+  /** Greedy (beam 1) descent from the top entry point down to level `to`. */
+  private def descend(q: Array[Float], to: Int): Int = {
+    var ep = entryPoint
+    var l = entryLevel
+    while (l > to) {
+      val res = searchLevel(q, Seq(ep), 1, 1, l)
+      if (res.nonEmpty) ep = res(0).id
+      l -= 1
+    }
+    ep
   }
 
   private def selectNeighbors(u: Int, cands: Array[Candidate], cap: Int): Array[Candidate] =
@@ -72,19 +85,11 @@ final class Hnsw private (
     if (entryPoint < 0) { entryPoint = u; entryLevel = lvl; return }
 
     val q = vs.vector(u)
-    var ep = entryPoint
-    // Greedy descent through levels above lvl.
-    var l = entryLevel
-    while (l > lvl) {
-      val res = searchLevel(q, Seq(ep), 1, l)
-      if (res.nonEmpty) ep = res(0).id
-      l -= 1
-    }
     // Insert at each level from min(lvl, entryLevel) down to 0.
-    l = math.min(lvl, entryLevel)
-    var eps: Seq[Int] = Seq(ep)
+    var l = math.min(lvl, entryLevel)
+    var eps: Seq[Int] = Seq(descend(q, lvl))
     while (l >= 0) {
-      val cands = searchLevel(q, eps, efConstruction, l)
+      val cands = searchLevel(q, eps, efConstruction, efConstruction, l)
       val sel = selectNeighbors(u, cands, m)
       val buf = neighborsAt(l, u)
       sel.foreach(c => buf += c.id)
@@ -116,24 +121,7 @@ final class Hnsw private (
       stats: SearchStats = null,
   ): Array[Candidate] = {
     if (entryPoint < 0) return Array.empty
-    var ep = entryPoint
-    var l = entryLevel
-    while (l > 0) {
-      val res = searchLevel(q, Seq(ep), 1, l)
-      if (res.nonEmpty) ep = res(0).id
-      l -= 1
-    }
-    val adj = adjacency(0)
-    BeamSearch.search(
-      q, (i: Int) => vs.dist2(i, q), Seq(ep), math.max(ef, k), k,
-      neighbors = (u: Int) => {
-        val b = adj(u)
-        val out = new Array[Int](b.length)
-        var i = 0; while (i < b.length) { out(i) = b(i); i += 1 }
-        out
-      },
-      visit = visit, admit = admit, stats = stats,
-    )
+    searchBase(q, Seq(descend(q, 0)), k, ef, visit, admit, stats)
   }
 
   /** Base-layer-only search from caller-chosen entry points — used by the
@@ -149,19 +137,8 @@ final class Hnsw private (
       visit: Int => Boolean = _ => true,
       admit: Int => Boolean = _ => true,
       stats: SearchStats = null,
-  ): Array[Candidate] = {
-    val adj = adjacency(0)
-    BeamSearch.search(
-      q, (i: Int) => vs.dist2(i, q), entries, math.max(ef, k), k,
-      neighbors = (u: Int) => {
-        val b = adj(u)
-        val out = new Array[Int](b.length)
-        var i = 0; while (i < b.length) { out(i) = b(i); i += 1 }
-        out
-      },
-      visit = visit, admit = admit, stats = stats,
-    )
-  }
+  ): Array[Candidate] =
+    searchLevel(q, entries, math.max(ef, k), k, 0, visit, admit, stats)
 
   /** Total directed edges across all levels. */
   def edgeCount: Long =

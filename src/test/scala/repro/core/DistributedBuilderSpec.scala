@@ -6,22 +6,6 @@ class DistributedBuilderSpec extends SparkSpec {
 
   private val vs = TestData.clusteredVs(600, 8, clusters = 6, seed = 131)
 
-  test("segmentsAtCut partitions the rank space") {
-    for (cut <- Seq(1, 2, 3, 4)) {
-      val segs = DistributedBuilder.segmentsAtCut(600, cut)
-      val covered = Array.fill(600)(0)
-      for ((l, r, _) <- segs; u <- l to r) covered(u) += 1
-      assert(covered.forall(_ == 1), s"cut=$cut")
-    }
-  }
-
-  test("segmentsAtLayer matches segmentAt for every member") {
-    for (lay <- Seq(0, 1, 3)) {
-      for ((l, r) <- DistributedBuilder.segmentsAtLayer(600, lay); u <- Seq(l, r))
-        assert(SegmentTree.segmentAt(600, lay, u) == (l, r))
-    }
-  }
-
   test("distributed build is identical to the local build") {
     val local = ElementalGraphBuilder.build(vs, m = 8, ef = 40)
     val dist = DistributedBuilder.build(spark, vs, m = 8, ef = 40, cutLay = 3)

@@ -62,6 +62,21 @@ class SegmentTreeSpec extends AnyFunSuite {
     assert(SegmentTree.segmentAt(16, 99, 5) == (5, 5)) // beyond the leaf stays put
   }
 
+  test("segmentsAtLayer partitions the rank space down to layer depth - 2") {
+    for (n <- Seq(2, 3, 17, 333, 600); lay <- 0 to SegmentTree.depth(n) - 2) {
+      val covered = Array.fill(n)(0)
+      for ((l, r) <- SegmentTree.segmentsAtLayer(n, lay); u <- l to r) covered(u) += 1
+      assert(covered.forall(_ == 1), s"n=$n lay=$lay")
+    }
+  }
+
+  test("segmentsAtLayer matches segmentAt for every member") {
+    for (lay <- 0 until SegmentTree.depth(600)) {
+      for ((l, r) <- SegmentTree.segmentsAtLayer(600, lay); u <- l to r)
+        assert(SegmentTree.segmentAt(600, lay, u) == (l, r))
+    }
+  }
+
   test("intersectLen basic cases") {
     assert(SegmentTree.intersectLen(0, 9, 5, 20) == 5)
     assert(SegmentTree.intersectLen(0, 9, 10, 20) == 0)
