@@ -16,8 +16,10 @@ object BasicSearch {
              stats: SearchStats = null): Array[Candidate] = {
     val m = graphs.m
     val pieces = SegmentTree.decompose(graphs.n, L, R).map { case (lay, l, r) =>
-      if (l == r) Array(Candidate(l, vs.dist2(l, q)))
-      else {
+      if (l == r) {
+        if (stats != null) stats.distComputations += 1
+        Array(Candidate(l, vs.dist2(l, q)))
+      } else {
         val adj = graphs.layers(lay)
         val scratch = new Array[Int](m)
         BeamSearch.search(

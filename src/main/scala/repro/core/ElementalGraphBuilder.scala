@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.graph.{BeamSearch, BruteForce, Candidate, RngPrune, VecStore}
-import scala.collection.mutable
 
 /** Bottom-up materialization of all elemental graphs (Section 3.2.2).
   *
@@ -57,21 +56,20 @@ object ElementalGraphBuilder {
     } else {
       val mid = SegmentTree.mid(l, r)
       val childAdj = layers(lay + 1)
+      val scratch = new Array[Int](m)
+      val siblingNeighbors = (x: Int) => {
+        System.arraycopy(childAdj, x * m, scratch, 0, m)
+        scratch
+      }
       var u = l
       while (u <= r) {
         val (siblingLo, siblingHi) =
           if (u <= mid) (mid + 1, r) else (l, mid)
-        val cands = mutable.ArrayBuffer.empty[Candidate]
-        val seen = mutable.HashSet.empty[Int]
-        // 1. Copy u's neighbors from its containing child's graph.
+        // 1. u's neighbors in its containing child's graph.
         val base = u * m
-        var j = 0
-        while (j < m && childAdj(base + j) >= 0) {
-          val v = childAdj(base + j)
-          if (seen.add(v)) cands += Candidate(v, vs.dist2(u, v))
-          j += 1
-        }
-        // 2. Search the sibling child's graph for approximate NNs of u.
+        var deg = 0
+        while (deg < m && childAdj(base + deg) >= 0) deg += 1
+        // 2. Approximate NNs of u searched in the sibling child's graph.
         val q = vs.vector(u)
         val found =
           if (siblingHi - siblingLo + 1 <= ef)
@@ -81,16 +79,18 @@ object ElementalGraphBuilder {
               q, (i: Int) => vs.dist2(i, q),
               entries = Seq(SegmentTree.mid(siblingLo, siblingHi)),
               beam = ef, k = ef,
-              neighbors = (x: Int) => {
-                val out = new Array[Int](m)
-                val b = x * m
-                var t = 0
-                while (t < m) { out(t) = childAdj(b + t); t += 1 }
-                out
-              },
+              neighbors = siblingNeighbors,
             )
-        found.foreach { c => if (seen.add(c.id)) cands += c }
-        writeNeighbors(target, m, u, RngPrune.prune(cands.toArray, (a, b) => vs.dist2(a, b), m))
+        // No dedup needed: source 1 lies in u's child, source 2 in the sibling, each duplicate-free.
+        val cands = new Array[Candidate](deg + found.length)
+        var j = 0
+        while (j < deg) {
+          val v = childAdj(base + j)
+          cands(j) = Candidate(v, vs.dist2(u, v))
+          j += 1
+        }
+        System.arraycopy(found, 0, cands, deg, found.length)
+        writeNeighbors(target, m, u, RngPrune.prune(cands, (a, b) => vs.dist2(a, b), m))
         u += 1
       }
     }

@@ -10,9 +10,16 @@ import scala.collection.mutable
   */
 object BruteForce {
 
-  /** Candidate ordering: ascending (dist, id). */
-  val candidateOrdering: Ordering[Candidate] =
-    Ordering.by((c: Candidate) => (c.dist, c.id))
+  /** Candidate ordering: ascending (dist, id), distances by
+    * `java.lang.Float.compare` (the order `Ordering.by((c.dist, c.id))` gives,
+    * without a tuple per comparison).
+    */
+  val candidateOrdering: Ordering[Candidate] = new Ordering[Candidate] {
+    def compare(a: Candidate, b: Candidate): Int = {
+      val c = java.lang.Float.compare(a.dist, b.dist)
+      if (c != 0) c else Integer.compare(a.id, b.id)
+    }
+  }
 
   /** Exact top-k over ids in [lo, hi] (inclusive) that satisfy `pred`.
     * Returns candidates sorted ascending by (dist, id); size <= k.

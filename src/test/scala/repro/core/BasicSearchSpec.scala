@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
 import repro.data.GroundTruth
-import repro.graph.BruteForce
+import repro.graph.{BruteForce, SearchStats}
 
 class BasicSearchSpec extends AnyFunSuite {
 
@@ -58,5 +58,26 @@ class BasicSearchSpec extends AnyFunSuite {
       case Array(a, b) => a.dist < b.dist || (a.dist == b.dist && a.id < b.id)
       case _ => true
     })
+  }
+
+  test("distance computations include singleton canonical segments") {
+    // [255, 256] is two singleton leaves.
+    val leaves = new SearchStats
+    BasicSearch.search(vs, g, queries(4), 255, 256, 5, 20, leaves)
+    assert(leaves.distComputations == 2)
+    // [255, 260] is leaf 255, segment [256, 259] and leaf 260.
+    val pieces = SegmentTree.decompose(n, 255, 260)
+    assert(pieces.count { case (_, l, r) => l == r } == 2)
+    val expected = pieces.map { case (_, l, r) =>
+      if (l == r) 1L
+      else {
+        val one = new SearchStats
+        BasicSearch.search(vs, g, queries(4), l, r, 5, 20, one)
+        one.distComputations
+      }
+    }.sum
+    val mixed = new SearchStats
+    BasicSearch.search(vs, g, queries(4), 255, 260, 5, 20, mixed)
+    assert(mixed.distComputations == expected)
   }
 }

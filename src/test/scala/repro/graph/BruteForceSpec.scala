@@ -59,4 +59,18 @@ class BruteForceSpec extends AnyFunSuite {
     val a = Array.tabulate(5)(i => Candidate(i, i.toFloat))
     assert(BruteForce.mergeTopK(Seq(a), 3).map(_.id).toSeq == Seq(0, 1, 2))
   }
+
+  test("candidateOrdering agrees with the tuple ordering on (dist, id)") {
+    val tuple = Ordering.by((c: Candidate) => (c.dist, c.id))
+    val dists = Array(0.0f, -0.0f, Float.NaN, 1.0f, 1.0f, 2.5f, Float.PositiveInfinity, 1e-30f)
+    val rnd = new java.util.Random(23)
+    def pick(): Candidate =
+      if (rnd.nextBoolean()) Candidate(rnd.nextInt(4), dists(rnd.nextInt(dists.length)))
+      else Candidate(rnd.nextInt(), rnd.nextFloat())
+    for (_ <- 0 until 5000) {
+      val a = pick(); val b = pick()
+      assert(math.signum(BruteForce.candidateOrdering.compare(a, b)) ==
+        math.signum(tuple.compare(a, b)), s"$a vs $b")
+    }
+  }
 }
