@@ -1,5 +1,6 @@
 package repro.bench
 
+import java.util.concurrent.{CompletableFuture, CompletionException, ForkJoinPool}
 import repro.data.GroundTruth
 
 /** Timing, qps-recall sweeps and table formatting shared by every bench. */
@@ -17,17 +18,31 @@ object BenchUtil {
 
   private val threadMx = java.lang.management.ManagementFactory.getThreadMXBean
 
-  /** Measure the calling thread's CPU seconds for `body`. The bench host is
+  /** Measure the CPU seconds of `body` on one thread. The bench host is
     * a microVM with visible CPU steal (multi-second random stalls), so
     * wall-clock distorts single-threaded measurements by up to 40x between
     * runs; thread CPU time is immune. Use for all single-threaded builds
     * and query loops (the paper measures single-threaded too); wall-clock
-    * remains for the multi-threaded Spark build.
+    * remains for the multi-threaded Spark build. `body` runs via
+    * [[onOneThread]], so a parallel stream inside it (the elemental-graph
+    * builder's) stays on the measured thread instead of spreading its CPU
+    * time over the common pool.
     */
-  def cpuSeconds[A](body: => A): (A, Double) = {
+  def cpuSeconds[A](body: => A): (A, Double) = onOneThread {
     val t0 = threadMx.getCurrentThreadCpuTime
     val a = body
     (a, (threadMx.getCurrentThreadCpuTime - t0) / 1e9)
+  }
+
+  /** Run `body` on the single worker of a fresh `ForkJoinPool`: parallel
+    * streams inside it fork onto that pool, so their elements run one at a
+    * time on that one thread.
+    */
+  def onOneThread[A](body: => A): A = {
+    val pool = new ForkJoinPool(1)
+    try CompletableFuture.supplyAsync[A](() => body, pool).join()
+    catch { case e: CompletionException => throw e.getCause }
+    finally pool.shutdown()
   }
 
   /** Run one method over a workload at one beam size; returns the curve

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.stream.IntStream
 import repro.graph.{BeamSearch, BruteForce, Candidate, RngPrune, VecStore}
 
 /** Bottom-up materialization of all elemental graphs (Section 3.2.2).
@@ -33,36 +34,37 @@ object ElementalGraphBuilder {
       buildSegmentLayer(vs, layers, m, ef, l, r, lay)
 
   /** Build just segment [l, r]'s graph at layer `lay`, assuming its
-    * children's graphs at layer `lay + 1` are present in `layers`.
+    * children's graphs at layer `lay + 1` are present in `layers`. The
+    * nodes of a segment above `bruteThreshold` are built in parallel on the
+    * common `ForkJoinPool`; smaller segments are too cheap to fork.
     */
   def buildSegmentLayer(vs: VecStore, layers: Array[Array[Int]], m: Int, ef: Int,
                         l: Int, r: Int, lay: Int): Unit = {
-    val size = r - l + 1
-    if (size <= 1) return
-    val target = layers(lay)
-    if (size <= bruteThreshold(m)) {
-      var u = l
-      while (u <= r) {
-        val cands = new Array[Candidate](size - 1)
+    if (r <= l) return
+    val nodes = IntStream.rangeClosed(l, r)
+    // Node u writes only layers(lay)[u*m, (u+1)*m); the end of forEach happens-before the next segment.
+    (if (r - l + 1 <= bruteThreshold(m)) nodes else nodes.parallel())
+      .forEach(u => buildNode(vs, layers, m, ef, l, r, lay, u))
+  }
+
+  /** Select u's neighbors in segment [l, r] at layer `lay`, reading only
+    * `vs` and layer `lay + 1`.
+    */
+  private def buildNode(vs: VecStore, layers: Array[Array[Int]], m: Int, ef: Int,
+                        l: Int, r: Int, lay: Int, u: Int): Unit = {
+    val cands =
+      if (r - l + 1 <= bruteThreshold(m)) {
+        val all = new Array[Candidate](r - l)
         var i = 0
         var v = l
         while (v <= r) {
-          if (v != u) { cands(i) = Candidate(v, vs.dist2(u, v)); i += 1 }
+          if (v != u) { all(i) = Candidate(v, vs.dist2(u, v)); i += 1 }
           v += 1
         }
-        writeNeighbors(target, m, u, RngPrune.prune(cands, (a, b) => vs.dist2(a, b), m))
-        u += 1
-      }
-    } else {
-      val mid = SegmentTree.mid(l, r)
-      val childAdj = layers(lay + 1)
-      val scratch = new Array[Int](m)
-      val siblingNeighbors = (x: Int) => {
-        System.arraycopy(childAdj, x * m, scratch, 0, m)
-        scratch
-      }
-      var u = l
-      while (u <= r) {
+        all
+      } else {
+        val mid = SegmentTree.mid(l, r)
+        val childAdj = layers(lay + 1)
         val (siblingLo, siblingHi) =
           if (u <= mid) (mid + 1, r) else (l, mid)
         // 1. u's neighbors in its containing child's graph.
@@ -74,26 +76,27 @@ object ElementalGraphBuilder {
         val found =
           if (siblingHi - siblingLo + 1 <= ef)
             BruteForce.topK(vs, q, siblingLo, siblingHi, ef)
-          else
+          else {
+            val scratch = new Array[Int](m)
             BeamSearch.search(
               q, (i: Int) => vs.dist2(i, q),
               entries = Seq(SegmentTree.mid(siblingLo, siblingHi)),
               beam = ef, k = ef,
-              neighbors = siblingNeighbors,
+              neighbors = (x: Int) => { System.arraycopy(childAdj, x * m, scratch, 0, m); scratch },
             )
+          }
         // No dedup needed: source 1 lies in u's child, source 2 in the sibling, each duplicate-free.
-        val cands = new Array[Candidate](deg + found.length)
+        val both = new Array[Candidate](deg + found.length)
         var j = 0
         while (j < deg) {
           val v = childAdj(base + j)
-          cands(j) = Candidate(v, vs.dist2(u, v))
+          both(j) = Candidate(v, vs.dist2(u, v))
           j += 1
         }
-        System.arraycopy(found, 0, cands, deg, found.length)
-        writeNeighbors(target, m, u, RngPrune.prune(cands, (a, b) => vs.dist2(a, b), m))
-        u += 1
+        System.arraycopy(found, 0, both, deg, found.length)
+        both
       }
-    }
+    writeNeighbors(layers(lay), m, u, RngPrune.prune(cands, (a, b) => vs.dist2(a, b), m))
   }
 
   private def writeNeighbors(flat: Array[Int], m: Int, u: Int, kept: Array[Candidate]): Unit = {

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.graph.VecStore
+
 /** Storage for all elemental graphs of the segment tree (Section 3.2).
   *
   * `layers(lay)` is a flat adjacency array of length n*m: the neighbors of
@@ -49,6 +51,39 @@ final class ElementalGraphs(
       lay += 1
     }
     s
+  }
+
+  /** Check the structural invariants of every layer over `vs`: each
+    * neighbor of u lies in u's segment of that layer, with no self-loop;
+    * neighbors ascend strictly by (distance to u, id), the order of
+    * `BruteForce.candidateOrdering`, so none repeats; the -1 padding is
+    * contiguous. Throws `IllegalStateException` naming the first violation.
+    */
+  def validate(vs: VecStore): Unit = {
+    def fail(msg: String): Nothing = throw new IllegalStateException(msg)
+    if (vs.n != n) fail(s"graphs over $n ranks, vectors over ${vs.n}")
+    for (lay <- layers.indices; u <- 0 until n) {
+      val (l, r) = SegmentTree.segmentAt(n, lay, u)
+      val a = layers(lay)
+      val base = u * m
+      val d = degree(lay, u)
+      var i = 0
+      while (i < m) {
+        val v = a(base + i)
+        def at = s"layer $lay node $u slot $i"
+        if (i >= d) { if (v != -1) fail(s"$at: $v after the -1 padding") }
+        else {
+          if (v < l || v > r) fail(s"$at: neighbor $v outside segment [$l,$r]")
+          if (v == u) fail(s"$at: self-loop")
+          if (i > 0) {
+            val p = a(base + i - 1)
+            val c = java.lang.Float.compare(vs.dist2(u, p), vs.dist2(u, v))
+            if (c > 0 || (c == 0 && p >= v)) fail(s"$at: $v not after $p in (distance, id) order")
+          }
+        }
+        i += 1
+      }
+    }
   }
 
   /** Index bytes: 4 per stored neighbor id (paper-style accounting). */

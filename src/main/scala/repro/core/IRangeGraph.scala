@@ -21,7 +21,7 @@ final class IRangeGraph(val vs: VecStore, val graphs: ElementalGraphs) {
   def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
              skipLayers: Boolean = true,
              stats: SearchStats = null): Array[Candidate] = {
-    require(0 <= L && L <= R && R < n, s"bad range [$L,$R] for n=$n")
+    checkQuery(q, L, R, k)
     // Scratch adjacency reused across expansions (-1-terminated).
     val scratch = new Array[Int](m + 1)
     BeamSearch.search(
@@ -31,6 +31,15 @@ final class IRangeGraph(val vs: VecStore, val graphs: ElementalGraphs) {
       neighbors = (u: Int) => { EdgeSelection.select(graphs, u, L, R, scratch, skipLayers); scratch },
       stats = stats,
     )
+  }
+
+  /** Rejects a query that would otherwise throw inside `VecStore.dist2` or
+    * silently use a prefix of `q`.
+    */
+  private[core] def checkQuery(q: Array[Float], L: Int, R: Int, k: Int): Unit = {
+    require(q.length == vs.dim, s"query dimension ${q.length} != index dimension ${vs.dim}")
+    require(0 <= L && L <= R && R < n, s"bad range [$L,$R] for n=$n")
+    require(k >= 1, s"k must be >= 1, got $k")
   }
 
   /** Index bytes (elemental graph edges only; vectors accounted separately,

@@ -63,4 +63,20 @@ class BenchUtilSpec extends AnyFunSuite {
     assert(fmtQps(Some(1234.6)) == "1235")
     assert(fmtMB(1048576L) == "1.00")
   }
+
+  test("cpuSeconds keeps a parallel stream inside its body on one thread") {
+    val threads = java.util.concurrent.ConcurrentHashMap.newKeySet[Thread]()
+    val (sum, cpu) = cpuSeconds {
+      java.util.stream.IntStream.range(0, 1 << 16).parallel()
+        .map { i => threads.add(Thread.currentThread()); i & 7 }
+        .sum()
+    }
+    assert(sum == (1 << 13) * 28)
+    assert(threads.size == 1)
+    assert(cpu >= 0)
+  }
+
+  test("cpuSeconds rethrows the body's exception") {
+    intercept[IllegalStateException](cpuSeconds[Int](throw new IllegalStateException("boom")))
+  }
 }

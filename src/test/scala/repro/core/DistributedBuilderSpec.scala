@@ -12,6 +12,7 @@ class DistributedBuilderSpec extends SparkSpec {
     assert(dist.numLayers == local.numLayers)
     for (lay <- 0 until local.numLayers)
       assert(dist.layers(lay).toSeq == local.layers(lay).toSeq, s"layer $lay differs")
+    dist.validate(vs)
   }
 
   test("distributed build with deeper cut is also identical") {
@@ -20,6 +21,7 @@ class DistributedBuilderSpec extends SparkSpec {
     val dist = DistributedBuilder.build(spark, small, m = 6, ef = 30, cutLay = 5)
     for (lay <- 0 until local.numLayers)
       assert(dist.layers(lay).toSeq == local.layers(lay).toSeq, s"layer $lay differs")
+    dist.validate(small)
   }
 
   test("cut larger than the tree depth falls back gracefully") {

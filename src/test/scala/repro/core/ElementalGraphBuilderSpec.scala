@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
+import repro.bench.BenchUtil
 import repro.graph.{BruteForce, RngPrune}
 import repro.data.GroundTruth
 
@@ -45,6 +46,7 @@ class ElementalGraphBuilderSpec extends AnyFunSuite {
       assert(!nb.contains(u))
       assert(nb.distinct.length == nb.length)
     }
+    g.validate(vs)
   }
 
   test("small segments keep every exact-RNG edge (brute-force path, full candidates)") {
@@ -55,6 +57,7 @@ class ElementalGraphBuilderSpec extends AnyFunSuite {
     val exact = RngPrune.exactRng(small, 0, 15)
     for (u <- 0 until 16)
       assert(exact(u).toSet.subsetOf(sg.neighbors(0, u).toSet), s"node $u")
+    sg.validate(small)
   }
 
   test("above the brute-force threshold, same-child parent edges come from the child graph") {
@@ -94,6 +97,7 @@ class ElementalGraphBuilderSpec extends AnyFunSuite {
       val (l, r) = SegmentTree.segmentAt(333, lay, u)
       assert(og.neighbors(lay, u).forall(v => v >= l && v <= r && v != u))
     }
+    og.validate(odd)
   }
 
   test("build is deterministic") {
@@ -110,5 +114,56 @@ class ElementalGraphBuilderSpec extends AnyFunSuite {
 
   test("space is O(n m log n): bounded by n*m per layer") {
     assert(g.edgeCount <= 512L * 8 * g.numLayers)
+  }
+
+  private def sameLayers(a: ElementalGraphs, b: ElementalGraphs): Boolean =
+    a.numLayers == b.numLayers &&
+      a.layers.indices.forall(i => java.util.Arrays.equals(a.layers(i), b.layers(i)))
+
+  test("validate rejects each broken invariant") {
+    val u = 100
+    val nb = g.neighbors(0, u)
+    assert(nb.length >= 3)
+    def broken(lay: Int)(edit: Array[Int] => Unit): ElementalGraphs = {
+      val layers = g.layers.map(_.clone())
+      edit(layers(lay))
+      new ElementalGraphs(g.n, g.m, layers)
+    }
+    val (l, r) = SegmentTree.segmentAt(512, 2, u)
+    val outside = if (l > 0) l - 1 else r + 1
+    for ((msg, bad) <- Seq(
+           "outside" -> broken(2)(a => a(u * 8) = outside),
+           "self-loop" -> broken(0)(a => a(u * 8) = u),
+           "order" -> broken(0)(a => a(u * 8 + 1) = nb(0)), // duplicate
+           "order" -> broken(0) { a => a(u * 8) = nb(1); a(u * 8 + 1) = nb(0) }, // unsorted
+           "padding" -> broken(0)(a => a(u * 8 + 1) = -1))) {
+      val e = intercept[IllegalStateException](bad.validate(vs))
+      assert(e.getMessage.contains(msg), e.getMessage)
+    }
+  }
+
+  test("node-parallel build equals a one-thread build above the brute-force threshold") {
+    for ((n, seed) <- Seq(600 -> 75L, 1000 -> 76L, 2048 -> 77L)) {
+      val big = TestData.clusteredVs(n, 8, clusters = 6, seed = seed)
+      assert(n / 2 > ElementalGraphBuilder.bruteThreshold(8))
+      val par = ElementalGraphBuilder.build(big, m = 8, ef = 40)
+      val one = BenchUtil.onOneThread(ElementalGraphBuilder.build(big, m = 8, ef = 40))
+      assert(sameLayers(par, one), s"n=$n")
+      par.validate(big)
+    }
+  }
+
+  test("four threads building the same input at once all get the one-thread result") {
+    val big = TestData.clusteredVs(1000, 8, clusters = 6, seed = 76)
+    val one = BenchUtil.onOneThread(ElementalGraphBuilder.build(big, m = 8, ef = 40))
+    val out = new Array[ElementalGraphs](4)
+    val threads = Array.tabulate(4)(t =>
+      new Thread(() => out(t) = ElementalGraphBuilder.build(big, m = 8, ef = 40)))
+    threads.foreach(_.start())
+    threads.foreach(_.join())
+    for (t <- 0 until 4) {
+      assert(sameLayers(out(t), one), s"thread $t")
+      out(t).validate(big)
+    }
   }
 }

@@ -110,6 +110,14 @@ class IRangeGraphSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] { ir.search(queries(0), 9, 3, 10, 50) }
   }
 
+  test("malformed query input is rejected with a clear error") {
+    val short = intercept[IllegalArgumentException] { ir.search(queries(0).take(9), 0, 99, 10, 50) }
+    assert(short.getMessage.contains("dimension"))
+    intercept[IllegalArgumentException] { ir.search(queries(0) :+ 0f, 0, 99, 10, 50) }
+    val k0 = intercept[IllegalArgumentException] { ir.search(queries(0), 0, 99, 0, 50) }
+    assert(k0.getMessage.contains("k must be"))
+  }
+
   test("recall improves with beam size on moderate ranges") {
     val ranges = randomRanges(n >> 3, 96)
     val r1 = recallFor(ranges, 10, 15)

@@ -104,4 +104,23 @@ class MultiAttrSpec extends AnyFunSuite {
       MultiAttr.PostFilter)
     assert(got.forall(c => attr2Rank(c.id) == n - 1))
   }
+
+  test("malformed query input is rejected with a clear error") {
+    def run(q: Array[Float] = queries(0), l1: Int = 0, r1: Int = 99,
+            l2: Int = 0, r2: Int = 99, k: Int = 10) =
+      MultiAttr.search(ir, attr2Rank, q, l1, r1, l2, r2, k, 50, MultiAttr.PostFilter)
+    for ((what, call) <- Seq[(String, () => Any)](
+           "bad range" -> (() => run(l1 = -1)),
+           "bad range" -> (() => run(r1 = n)),
+           "bad range" -> (() => run(l1 = 9, r1 = 3)),
+           "second-attribute" -> (() => run(l2 = -1)),
+           "second-attribute" -> (() => run(r2 = n)),
+           "second-attribute" -> (() => run(l2 = 9, r2 = 3)),
+           "dimension" -> (() => run(q = queries(0).take(7))),
+           "dimension" -> (() => run(q = queries(0) :+ 0f)),
+           "k must be" -> (() => run(k = 0)))) {
+      val e = intercept[IllegalArgumentException](call())
+      assert(e.getMessage.contains(what), e.getMessage)
+    }
+  }
 }
