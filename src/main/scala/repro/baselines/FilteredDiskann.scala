@@ -60,7 +60,8 @@ final class FilteredVamana(
       stats = stats)
   }
 
-  def sizeBytes: Long = graph.sizeBytes
+  /** Index bytes: 4 per live neighbor id (paper-style accounting). */
+  def sizeBytes: Long = graph.liveEdges * 4L
 }
 
 object FilteredVamana {
@@ -102,7 +103,8 @@ final class StitchedVamana(
     BruteForce.mergeTopK(lists, k)
   }
 
-  def sizeBytes: Long = graphs.map(_.sizeBytes).sum
+  /** Index bytes: 4 per live neighbor id (paper-style accounting). */
+  def sizeBytes: Long = graphs.map(_.liveEdges * 4L).sum
 }
 
 object StitchedVamana {

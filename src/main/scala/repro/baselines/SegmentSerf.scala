@@ -32,8 +32,7 @@ final class SegmentSerf(
   val lefts: Array[Int] = Array.tabulate(grid)(j => (vs.n.toLong * j / grid).toInt)
 
   val graphs: Array[IncrementalGraph] = lefts.map { l =>
-    IncrementalGraph.build(vs, l until vs.n, m, efConstruction,
-      alpha = 1.0f, recordLifespans = true)
+    IncrementalGraph.build(vs, l until vs.n, m, efConstruction)
   }
 
   /** `extraAdmit` carries the second-attribute predicate of the paper's
@@ -48,15 +47,15 @@ final class SegmentSerf(
     val base = lefts(j)
     val t = R + 1 - base // number of inserted points alive at query time
     val entry = base // first inserted point of this graph — always alive
-    graphs(j).searchAsOf(q, Seq(entry), k, beam, t,
+    graphs(j).search(q, Seq(entry), k, beam, t,
       admit = i => i >= L && i <= R && extraAdmit(i), stats = stats)
   }
 
-  /** Compressed size: edges with lifespan annotations (12 bytes each). The
-    * whole point of SeRF is that this is far below O(n·m) per distinct
-    * range.
+  /** Compressed size: stored edges with their lifespan annotations, 12
+    * bytes each (id, birth, death). The whole point of SeRF is that this is
+    * far below O(n·m) per distinct range.
     */
-  def sizeBytes: Long = graphs.map(_.sizeBytes).sum
+  def sizeBytes: Long = graphs.map(_.storedEdges * 12L).sum
 }
 
 object SegmentSerf {

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{BeamSearch, BruteForce, Candidate, SearchStats, VecStore}
+import repro.graph.{BeamSearch, BruteForce, Candidate, FlatAdjacency, SearchStats, VecStore}
 
 /** Ablation baseline (Section 5.2.2): the classical segment-tree way to
   * answer a range query — decompose [L, R] into its O(log n) canonical
@@ -26,12 +26,7 @@ object BasicSearch {
           q, (i: Int) => vs.dist2(i, q),
           entries = Seq(SegmentTree.mid(l, r), l, r).distinct,
           beam = beam, k = k,
-          neighbors = (u: Int) => {
-            val base = u * m
-            var t = 0
-            while (t < m) { scratch(t) = adj(base + t); t += 1 }
-            scratch
-          },
+          neighbors = (u: Int) => FlatAdjacency.copy(adj, m, u, scratch),
           stats = stats,
         )
       }

@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.stream.IntStream
-import repro.graph.{BeamSearch, BruteForce, Candidate, RngPrune, VecStore}
+import repro.graph.{BeamSearch, BruteForce, Candidate, FlatAdjacency, RngPrune, VecStore}
 
 /** Bottom-up materialization of all elemental graphs (Section 3.2.2).
   *
@@ -68,9 +68,7 @@ object ElementalGraphBuilder {
         val (siblingLo, siblingHi) =
           if (u <= mid) (mid + 1, r) else (l, mid)
         // 1. u's neighbors in its containing child's graph.
-        val base = u * m
-        var deg = 0
-        while (deg < m && childAdj(base + deg) >= 0) deg += 1
+        val own = FlatAdjacency.neighbors(childAdj, m, u)
         // 2. Approximate NNs of u searched in the sibling child's graph.
         val q = vs.vector(u)
         val found =
@@ -82,30 +80,20 @@ object ElementalGraphBuilder {
               q, (i: Int) => vs.dist2(i, q),
               entries = Seq(SegmentTree.mid(siblingLo, siblingHi)),
               beam = ef, k = ef,
-              neighbors = (x: Int) => { System.arraycopy(childAdj, x * m, scratch, 0, m); scratch },
+              neighbors = (x: Int) => FlatAdjacency.copy(childAdj, m, x, scratch),
             )
           }
         // No dedup needed: source 1 lies in u's child, source 2 in the sibling, each duplicate-free.
-        val both = new Array[Candidate](deg + found.length)
+        val both = new Array[Candidate](own.length + found.length)
         var j = 0
-        while (j < deg) {
-          val v = childAdj(base + j)
-          both(j) = Candidate(v, vs.dist2(u, v))
+        while (j < own.length) {
+          both(j) = Candidate(own(j), vs.dist2(u, own(j)))
           j += 1
         }
-        System.arraycopy(found, 0, both, deg, found.length)
+        System.arraycopy(found, 0, both, own.length, found.length)
         both
       }
-    writeNeighbors(layers(lay), m, u, RngPrune.prune(cands, (a, b) => vs.dist2(a, b), m))
-  }
-
-  private def writeNeighbors(flat: Array[Int], m: Int, u: Int, kept: Array[Candidate]): Unit = {
-    val base = u * m
-    var i = 0
-    while (i < m) {
-      flat(base + i) = if (i < kept.length) kept(i).id else -1
-      i += 1
-    }
+    FlatAdjacency.write(layers(lay), m, u, RngPrune.prune(cands, (a, b) => vs.dist2(a, b), m))
   }
 
   /** Driver-local build of the full index over `vs` (ranks = ids). */

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.VecStore
+import repro.graph.{FlatAdjacency, VecStore}
 
 /** Storage for all elemental graphs of the segment tree (Section 3.2).
   *
@@ -21,24 +21,10 @@ final class ElementalGraphs(
   def numLayers: Int = layers.length
 
   /** Degree of u at layer `lay`. */
-  def degree(lay: Int, u: Int): Int = {
-    val a = layers(lay)
-    val base = u * m
-    var d = 0
-    while (d < m && a(base + d) >= 0) d += 1
-    d
-  }
+  def degree(lay: Int, u: Int): Int = FlatAdjacency.degree(layers(lay), m, u)
 
   /** Neighbors of u at layer `lay` as a fresh exact-size array (tests). */
-  def neighbors(lay: Int, u: Int): Array[Int] = {
-    val a = layers(lay)
-    val base = u * m
-    val d = degree(lay, u)
-    val out = new Array[Int](d)
-    var i = 0
-    while (i < d) { out(i) = a(base + i); i += 1 }
-    out
-  }
+  def neighbors(lay: Int, u: Int): Array[Int] = FlatAdjacency.neighbors(layers(lay), m, u)
 
   /** Total stored directed edges. */
   def edgeCount: Long = {

@@ -33,11 +33,15 @@ final class IRangeGraph(val vs: VecStore, val graphs: ElementalGraphs) {
     )
   }
 
-  /** Rejects a query that would otherwise throw inside `VecStore.dist2` or
-    * silently use a prefix of `q`.
+  /** Rejects a query that would otherwise throw inside `VecStore.dist2`,
+    * silently use a prefix of `q`, or (with a NaN or infinite value, which
+    * makes every distance NaN or infinite) return in-range ids ranked by id.
     */
   private[core] def checkQuery(q: Array[Float], L: Int, R: Int, k: Int): Unit = {
     require(q.length == vs.dim, s"query dimension ${q.length} != index dimension ${vs.dim}")
+    var i = 0
+    while (i < q.length && java.lang.Float.isFinite(q(i))) i += 1
+    require(i == q.length, s"query value q($i) = ${q(i)} is not finite")
     require(0 <= L && L <= R && R < n, s"bad range [$L,$R] for n=$n")
     require(k >= 1, s"k must be >= 1, got $k")
   }

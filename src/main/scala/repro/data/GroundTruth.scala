@@ -51,7 +51,7 @@ object GroundTruth {
         val qs = bq.value
         val rs = br.value
         val rs2 = br2.value
-        val ord = Ordering.by((c: Candidate) => (c.dist, c.id))
+        val ord = BruteForce.candidateOrdering
         val heaps = Array.fill(qs.length)(new mutable.PriorityQueue[Candidate]()(ord))
         it.foreach { case (id, vec, a2) =>
           var qid = 0

@@ -25,12 +25,12 @@ final class Hnsw private (
     val efConstruction: Int,
     seed: Long,
 ) {
-  private val maxM0 = 2 * m
   private val mL = 1.0 / math.log(m.toDouble)
   private val rnd = new SplittableRandom(seed)
 
-  // adjacency(level) maps global id -> neighbor buffer; level 0 holds all nodes.
-  private val adjacency = mutable.ArrayBuffer.empty[mutable.HashMap[Int, mutable.ArrayBuffer[Int]]]
+  // links(l) holds level l in the `FlatAdjacency` layout, node u at slot
+  // index u - lo; a level's array is allocated when a node first reaches it.
+  private val links = mutable.ArrayBuffer.empty[Array[Int]]
   private var entryPoint: Int = -1
   private var entryLevel: Int = -1
 
@@ -38,14 +38,8 @@ final class Hnsw private (
   def maxLevel: Int = entryLevel
   def entry: Int = entryPoint
 
-  private def levels(u: Int): Int = {
-    var l = 0
-    while (l < adjacency.length && adjacency(l).contains(u)) l += 1
-    l - 1
-  }
-
-  private def neighborsAt(level: Int, u: Int): mutable.ArrayBuffer[Int] =
-    adjacency(level)(u)
+  /** Link cap of a level: maxM0 = 2M at the base, M above. */
+  private def cap(level: Int): Int = if (level == 0) 2 * m else m
 
   /** Beam search restricted to one level of the (partially built) graph —
     * the one traversal under insertion, descent and both public searches.
@@ -54,10 +48,12 @@ final class Hnsw private (
                           visit: Int => Boolean = _ => true,
                           admit: Int => Boolean = _ => true,
                           stats: SearchStats = null): Array[Candidate] = {
-    val adj = adjacency(level)
+    val a = links(level)
+    val c = cap(level)
+    val scratch = new Array[Int](c)
     BeamSearch.search(
       q, (i: Int) => vs.dist2(i, q), entriesIn, beam, k,
-      neighbors = (u: Int) => adj(u).toArray,
+      neighbors = (u: Int) => FlatAdjacency.copy(a, c, u - lo, scratch),
       visit = visit, admit = admit, stats = stats,
     )
   }
@@ -79,8 +75,7 @@ final class Hnsw private (
 
   private def insert(u: Int): Unit = {
     val lvl = math.min((-math.log(rnd.nextDouble()) * mL).toInt, 32)
-    while (adjacency.length <= lvl) adjacency += mutable.HashMap.empty
-    for (l <- 0 to lvl) adjacency(l)(u) = mutable.ArrayBuffer.empty[Int]
+    while (links.length <= lvl) links += Array.fill(size * cap(links.length))(-1)
 
     if (entryPoint < 0) { entryPoint = u; entryLevel = lvl; return }
 
@@ -91,18 +86,17 @@ final class Hnsw private (
     while (l >= 0) {
       val cands = searchLevel(q, eps, efConstruction, efConstruction, l)
       val sel = selectNeighbors(u, cands, m)
-      val buf = neighborsAt(l, u)
-      sel.foreach(c => buf += c.id)
-      // Bidirectional links with overflow pruning.
-      val cap = if (l == 0) maxM0 else m
-      for (c <- sel) {
-        val nb = neighborsAt(l, c.id)
-        nb += u
-        if (nb.length > cap) {
-          val scored = nb.toArray.map(x => Candidate(x, vs.dist2(c.id, x)))
-          val kept = selectNeighbors(c.id, scored, cap)
-          nb.clear()
-          kept.foreach(k => nb += k.id)
+      val a = links(l)
+      val c = cap(l)
+      FlatAdjacency.write(a, c, u - lo, sel)
+      // Bidirectional links; a full neighbor re-prunes its links plus u.
+      for (s <- sel) {
+        val v = s.id
+        if (!FlatAdjacency.append(a, c, v - lo, u)) {
+          val ids = FlatAdjacency.copy(a, c, v - lo, new Array[Int](c + 1))
+          ids(c) = u
+          FlatAdjacency.write(a, c, v - lo,
+            selectNeighbors(v, ids.map(x => Candidate(x, vs.dist2(v, x))), c))
         }
       }
       eps = cands.map(_.id).toSeq
@@ -141,16 +135,15 @@ final class Hnsw private (
     searchLevel(q, entries, math.max(ef, k), k, 0, visit, admit, stats)
 
   /** Total directed edges across all levels. */
-  def edgeCount: Long =
-    adjacency.iterator.map(_.valuesIterator.map(_.length.toLong).sum).sum
+  def edgeCount: Long = links.iterator.map(_.count(_ >= 0).toLong).sum
 
   /** Index bytes: 4 bytes per stored neighbor id (as the paper accounts). */
   def sizeBytes: Long = edgeCount * 4L
 
-  /** Base-layer degree of u (tests assert the maxM0 cap). */
-  def degree0(u: Int): Int = adjacency(0)(u).length
+  /** Degree of u at `level` (0 for a node below that level). */
+  def degree(level: Int, u: Int): Int = FlatAdjacency.degree(links(level), cap(level), u - lo)
 
-  def baseNeighbors(u: Int): Array[Int] = adjacency(0)(u).toArray
+  def baseNeighbors(u: Int): Array[Int] = FlatAdjacency.neighbors(links(0), cap(0), u - lo)
 }
 
 object Hnsw {

@@ -2,37 +2,38 @@ package repro.graph
 
 import scala.collection.mutable
 
-/** Single-layer incremental α-RNG graph.
-  *
-  * Two consumers:
-  *
-  *  - **Vamana-style builds** (FilteredVamana / StitchedVamana baselines):
-  *    insert in a caller-chosen order with α > 1, no lifespans.
-  *  - **SeRF-style segment graph** (the "2DSegmentGraph" baseline): insert in
-  *    ascending attribute order with `recordLifespans = true`. Every directed
-  *    edge records the insertion step at which it appeared (`birth`) and was
-  *    pruned away (`death`, or ∞ if still alive). Replaying the graph "as of
-  *    step t" reconstructs exactly the graph the incremental build had after
-  *    inserting the first t points — SeRF's key observation that one
-  *    annotated graph compresses all n half-bounded range indexes.
+/** Single-layer incremental α-RNG graph whose every directed edge records
+  * the insertion step at which it appeared (`birth`) and was pruned away
+  * (`death`, or `Int.MaxValue` while it is live).
   *
   * Insertion step counts inserted points, so after inserting points with
   * ranks [0, t) the current step is t and an edge is alive at t iff
-  * `birth <= t < death`.
+  * `birth <= t < death`. Replaying the graph "as of step t" reconstructs
+  * exactly the graph the incremental build had after inserting the first t
+  * points, and the live graph is the graph as of the current `step`. Two
+  * consumers:
+  *
+  *  - **Vamana-style builds** (FilteredVamana / StitchedVamana baselines):
+  *    insert in a caller-chosen order with α > 1 and search the live graph.
+  *  - **SeRF-style segment graph** (the "2DSegmentGraph" baseline): insert in
+  *    ascending attribute order and search as of a step t — SeRF's key
+  *    observation that one annotated graph compresses all n half-bounded
+  *    range indexes.
+  *
+  * A prune keeps a subset of the live edges, and an edge is added only at
+  * the insertion of its younger endpoint, so it is never re-added: a prune
+  * only stamps deaths, and the log holds each edge once.
   */
 final class IncrementalGraph(
     val vs: VecStore,
     val m: Int,
     val efConstruction: Int,
     val alpha: Float,
-    val recordLifespans: Boolean,
 ) {
-  /** Per-node parallel edge logs. With lifespans, pruned edges are retained
-    * (dead interval); without, lists hold only the live adjacency.
-    */
-  private val nbr = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
-  private val birth = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
-  private val death = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
+  // Node u's edge log, indexed by id: edge e is log(u)(3e until 3e + 3) =
+  // (neighbor, birth, death), for e < logLen(u).
+  private val log = Array.fill(vs.n)(Array.emptyIntArray)
+  private val logLen = new Array[Int](vs.n)
   private val insertedOrder = mutable.ArrayBuffer.empty[Int]
   private var entryPoint: Int = -1
 
@@ -40,134 +41,91 @@ final class IncrementalGraph(
   def inserted: Seq[Int] = insertedOrder.toSeq
   def entry: Int = entryPoint
 
-  private def liveNeighbors(u: Int): Array[Int] = {
-    val ids = nbr(u)
-    if (!recordLifespans) ids.toArray
-    else {
-      val de = death(u)
-      val out = mutable.ArrayBuffer.empty[Int]
-      var i = 0
-      while (i < ids.length) { if (de(i) == Int.MaxValue) out += ids(i); i += 1 }
-      out.toArray
-    }
-  }
-
   private def addEdge(u: Int, v: Int): Unit = {
-    nbr.getOrElseUpdate(u, mutable.ArrayBuffer.empty) += v
-    if (recordLifespans) {
-      birth.getOrElseUpdate(u, mutable.ArrayBuffer.empty) += step
-      death.getOrElseUpdate(u, mutable.ArrayBuffer.empty) += Int.MaxValue
-    }
+    val i = 3 * logLen(u)
+    if (i == log(u).length) log(u) = java.util.Arrays.copyOf(log(u), math.max(3 * m, 2 * i))
+    val a = log(u)
+    a(i) = v; a(i + 1) = step; a(i + 2) = Int.MaxValue
+    logLen(u) += 1
   }
 
-  /** Replace u's live adjacency with `kept`; dead edges keep their interval. */
-  private def setLive(u: Int, kept: Array[Int]) : Unit = {
-    if (!recordLifespans) {
-      val b = nbr(u); b.clear(); kept.foreach(b += _)
-    } else {
-      val ids = nbr(u); val de = death(u)
-      val keep = kept.toSet
-      val stillLive = mutable.HashSet.empty[Int]
-      var i = 0
-      while (i < ids.length) {
-        if (de(i) == Int.MaxValue) {
-          if (!keep.contains(ids(i))) de(i) = step
-          else stillLive += ids(i)
-        }
-        i += 1
-      }
-      kept.foreach { v => if (!stillLive.contains(v)) addEdge(u, v) }
+  /** Write u's neighbors alive at step t into `out`, -1-terminated. */
+  private def fillAsOf(u: Int, t: Int, out: Array[Int]): Array[Int] = {
+    val a = log(u)
+    var d = 0
+    var i = 0
+    while (i < 3 * logLen(u)) {
+      if (a(i + 1) <= t && t < a(i + 2)) { out(d) = a(i); d += 1 }
+      i += 3
     }
+    out(d) = -1
+    out
   }
 
   /** Insert one point; must not have been inserted before. */
   def insert(u: Int): Unit = {
-    if (entryPoint < 0) {
-      entryPoint = u
-      nbr.getOrElseUpdate(u, mutable.ArrayBuffer.empty)
-      if (recordLifespans) {
-        birth.getOrElseUpdate(u, mutable.ArrayBuffer.empty)
-        death.getOrElseUpdate(u, mutable.ArrayBuffer.empty)
-      }
-      insertedOrder += u
-      return
-    }
+    if (entryPoint < 0) { entryPoint = u; insertedOrder += u; return }
     val q = vs.vector(u)
-    val cands = BeamSearch.search(
-      q, (i: Int) => vs.dist2(i, q), Seq(entryPoint), efConstruction, efConstruction,
-      neighbors = (x: Int) => liveNeighbors(x),
-    )
+    val cands = search(q, Seq(entryPoint), efConstruction, efConstruction)
     val sel = RngPrune.prune(cands.filter(_.id != u), (a, b) => vs.dist2(a, b), m, alpha)
     insertedOrder += u
-    nbr.getOrElseUpdate(u, mutable.ArrayBuffer.empty)
-    if (recordLifespans) {
-      birth.getOrElseUpdate(u, mutable.ArrayBuffer.empty)
-      death.getOrElseUpdate(u, mutable.ArrayBuffer.empty)
-    }
     sel.foreach(c => addEdge(u, c.id))
-    // Reverse edges with overflow pruning.
-    for (c <- sel) {
-      addEdge(c.id, u)
-      val live = liveNeighbors(c.id)
+    // Reverse edges; a neighbor over m live edges re-prunes them.
+    for (s <- sel) {
+      val c = s.id
+      addEdge(c, u)
+      val live = neighbors(c)
       if (live.length > m) {
-        val scored = live.map(x => Candidate(x, vs.dist2(c.id, x)))
-        val kept = RngPrune.prune(scored, (a, b) => vs.dist2(a, b), m, alpha)
-        setLive(c.id, kept.map(_.id))
+        val kept = RngPrune.prune(live.map(x => Candidate(x, vs.dist2(c, x))),
+          (a, b) => vs.dist2(a, b), m, alpha)
+        val a = log(c)
+        var i = 0
+        while (i < 3 * logLen(c)) {
+          if (a(i + 2) == Int.MaxValue && !kept.exists(_.id == a(i))) a(i + 2) = step
+          i += 3
+        }
       }
     }
   }
 
-  /** Adjacency of u as of insertion step t (lifespan graphs only). */
+  /** Adjacency of u as of insertion step t, in the order edges were added. */
   def neighborsAsOf(u: Int, t: Int): Array[Int] = {
-    require(recordLifespans, "neighborsAsOf needs lifespans")
-    nbr.get(u) match {
-      case None => Array.empty
-      case Some(ids) =>
-        val bi = birth(u); val de = death(u)
-        val out = mutable.ArrayBuffer.empty[Int]
-        var i = 0
-        while (i < ids.length) {
-          if (bi(i) <= t && t < de(i)) out += ids(i)
-          i += 1
-        }
-        out.toArray
-    }
+    val out = fillAsOf(u, t, new Array[Int](logLen(u) + 1))
+    out.take(out.indexOf(-1))
   }
 
-  /** Final (live) adjacency of u. */
-  def neighbors(u: Int): Array[Int] = nbr.get(u).map(_ => liveNeighbors(u)).getOrElse(Array.empty)
+  /** Live adjacency of u: the graph as of the current step. */
+  def neighbors(u: Int): Array[Int] = neighborsAsOf(u, step)
 
-  /** Search the final graph (Vamana-style use). */
-  def search(q: Array[Float], entries: Seq[Int], k: Int, ef: Int,
+  /** Search the graph as of insertion step t — by default the live graph
+    * (Vamana-style use); an earlier t searches a prefix (segment-graph use).
+    * At most m edges of a node are alive at any step, so one (m + 1)-slot
+    * scratch buffer serves every expansion.
+    */
+  def search(q: Array[Float], entries: Seq[Int], k: Int, ef: Int, t: Int = step,
              visit: Int => Boolean = _ => true,
              admit: Int => Boolean = _ => true,
-             stats: SearchStats = null): Array[Candidate] =
+             stats: SearchStats = null): Array[Candidate] = {
+    val scratch = new Array[Int](m + 1)
     BeamSearch.search(q, (i: Int) => vs.dist2(i, q), entries, math.max(ef, k), k,
-      neighbors = (x: Int) => liveNeighbors(x), visit = visit, admit = admit, stats = stats)
+      neighbors = (x: Int) => fillAsOf(x, t, scratch), visit = visit, admit = admit, stats = stats)
+  }
 
-  /** Search the graph as of insertion step t (segment-graph use). */
-  def searchAsOf(q: Array[Float], entries: Seq[Int], k: Int, ef: Int, t: Int,
-                 visit: Int => Boolean = _ => true,
-                 admit: Int => Boolean = _ => true,
-                 stats: SearchStats = null): Array[Candidate] =
-    BeamSearch.search(q, (i: Int) => vs.dist2(i, q), entries, math.max(ef, k), k,
-      neighbors = (x: Int) => neighborsAsOf(x, t), visit = visit, admit = admit, stats = stats)
-
-  /** Stored edge count (lifespan graphs keep dead edges — that IS the
-    * compressed representation SeRF stores).
+  /** Edges in the log, live and dead — the compressed representation SeRF
+    * stores.
     */
-  def storedEdges: Long = nbr.valuesIterator.map(_.length.toLong).sum
+  def storedEdges: Long = logLen.iterator.map(_.toLong).sum
 
-  /** Bytes: id (4) + with lifespans birth/death (4 + 4) per stored edge. */
-  def sizeBytes: Long = storedEdges * (if (recordLifespans) 12L else 4L)
+  /** Edges alive at the current step. */
+  def liveEdges: Long = log.indices.iterator.map(neighbors(_).length.toLong).sum
 }
 
 object IncrementalGraph {
 
   /** Build by inserting `order` into an empty graph. */
   def build(vs: VecStore, order: Seq[Int], m: Int, efConstruction: Int,
-            alpha: Float = 1.0f, recordLifespans: Boolean = false): IncrementalGraph = {
-    val g = new IncrementalGraph(vs, m, efConstruction, alpha, recordLifespans)
+            alpha: Float = 1.0f): IncrementalGraph = {
+    val g = new IncrementalGraph(vs, m, efConstruction, alpha)
     order.foreach(g.insert)
     g
   }

@@ -1,7 +1,8 @@
 package repro
 
 import java.util.zip.CRC32
-import repro.baselines.{InFiltering, MilvusLike, PostFiltering, SuperPostFiltering}
+import repro.baselines.{FilteredVamana, InFiltering, MilvusLike, OracleHnsw, PostFiltering, SegmentSerf,
+  StitchedVamana, SuperPostFiltering}
 import repro.core.{BasicSearch, DistributedBuilder, EdgeSelection, ElementalGraphBuilder, IRangeGraph, MultiAttr}
 import repro.graph.{BruteForce, Candidate, Hnsw}
 
@@ -134,4 +135,40 @@ class GoldenChecksumSpec extends SparkSpec {
   golden("SuperPostFiltering", "2472f79c") { qi =>
     val (l, r) = ranges(qi); superPost.search(queries(qi), l, r, k, beam)
   }
+
+  private lazy val fVamana = FilteredVamana.build(vs, buckets = 6, m = m, efConstruction = ef)
+  golden("FilteredVamana", "54c73f02") { qi =>
+    val (l, r) = ranges(qi); fVamana.search(queries(qi), l, r, k, beam)
+  }
+
+  private lazy val sVamana = StitchedVamana.build(vs, buckets = 6, m = m, efConstruction = ef)
+  golden("StitchedVamana", "66fe1a7e") { qi =>
+    val (l, r) = ranges(qi); sVamana.search(queries(qi), l, r, k, beam)
+  }
+
+  private lazy val serf = SegmentSerf.build(vs, grid = 4, m = m, efConstruction = ef)
+  golden("SegmentSerf", "bdb098eb") { qi =>
+    val (l, r) = ranges(qi); serf.search(queries(qi), l, r, k, beam)
+  }
+
+  private lazy val oracle = OracleHnsw.build(vs, ranges, m, ef)
+  golden("OracleHnsw", "77a867fc") { qi =>
+    val (l, r) = ranges(qi); oracle.search(queries(qi), l, r, k, beam)
+  }
+
+  // Adjacency of the baseline graphs: each node's list, terminated by -1.
+  private def adjacencyCrc(list: Int => Array[Int]): String =
+    crc((0 until n).iterator.flatMap(u => list(u).iterator ++ Iterator(-1)))
+
+  test("Hnsw base adjacency matches the golden checksum") {
+    assert(adjacencyCrc(hnsw.baseNeighbors) == "ca238979")
+  }
+  // Live lists sorted per node: a Vamana graph's live neighbor set is fixed, its order is not.
+  test("IncrementalGraph live adjacency (FilteredVamana) matches the golden checksum") {
+    assert(adjacencyCrc(u => fVamana.graph.neighbors(u).sorted) == "39ff8c6d")
+  }
+  for ((t, expected) <- Seq(1 -> "0e743a2d", 64 -> "84d87e03", 333 -> "812980d8", n -> "d65e5b00"))
+    test(s"IncrementalGraph.neighborsAsOf(_, $t) (SegmentSerf) matches the golden checksum") {
+      assert(adjacencyCrc(u => serf.graphs(0).neighborsAsOf(u, t)) == expected)
+    }
 }

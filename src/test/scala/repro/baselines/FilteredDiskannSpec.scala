@@ -73,6 +73,11 @@ class FilteredDiskannSpec extends AnyFunSuite {
       assert(g.neighbors(u).forall(v => v >= bounds(b)._1 && v <= bounds(b)._2))
   }
 
+  test("sizeBytes is 4 bytes per live edge") {
+    assert(fv.sizeBytes == fv.graph.liveEdges * 4)
+    assert(sv.sizeBytes == sv.graphs.map(_.liveEdges).sum * 4)
+  }
+
   test("FilteredVamana inserts every point exactly once (random order)") {
     assert(fv.graph.inserted.sorted == (0 until n))
     assert(fv.graph.inserted != (0 until n)) // order is shuffled

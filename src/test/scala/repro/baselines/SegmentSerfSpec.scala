@@ -68,7 +68,12 @@ class SegmentSerfSpec extends AnyFunSuite {
     // grid graphs store lifespans (12 B/edge) but share edges across all
     // R values — far below materializing one graph per distinct R.
     val single = repro.graph.IncrementalGraph.build(vs, 0 until n, 10, 60)
-    assert(serf.sizeBytes < single.sizeBytes * 3 * serf.lefts.length)
+    assert(serf.sizeBytes < single.liveEdges * 4 * 3 * serf.lefts.length)
+  }
+
+  test("sizeBytes is 12 bytes per stored edge, and stored edges >= live edges") {
+    assert(serf.sizeBytes == serf.graphs.map(_.storedEdges).sum * 12)
+    for (g <- serf.graphs) assert(g.storedEdges >= g.liveEdges) // dead edges are retained
   }
 
   test("query time t never exposes points beyond R") {

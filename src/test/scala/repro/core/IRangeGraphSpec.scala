@@ -116,6 +116,10 @@ class IRangeGraphSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] { ir.search(queries(0) :+ 0f, 0, 99, 10, 50) }
     val k0 = intercept[IllegalArgumentException] { ir.search(queries(0), 0, 99, 0, 50) }
     assert(k0.getMessage.contains("k must be"))
+    for (bad <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity)) {
+      val e = intercept[IllegalArgumentException] { ir.search(queries(0).updated(3, bad), 0, 99, 10, 50) }
+      assert(e.getMessage.contains("q(3)") && e.getMessage.contains("not finite"), e.getMessage)
+    }
   }
 
   test("recall improves with beam size on moderate ranges") {

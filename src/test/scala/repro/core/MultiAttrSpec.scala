@@ -118,7 +118,10 @@ class MultiAttrSpec extends AnyFunSuite {
            "second-attribute" -> (() => run(l2 = 9, r2 = 3)),
            "dimension" -> (() => run(q = queries(0).take(7))),
            "dimension" -> (() => run(q = queries(0) :+ 0f)),
-           "k must be" -> (() => run(k = 0)))) {
+           "k must be" -> (() => run(k = 0)),
+           "not finite" -> (() => run(q = queries(0).updated(0, Float.NaN))),
+           "not finite" -> (() => run(q = queries(0).updated(2, Float.PositiveInfinity))),
+           "not finite" -> (() => run(q = queries(0).updated(4, Float.NegativeInfinity))))) {
       val e = intercept[IllegalArgumentException](call())
       assert(e.getMessage.contains(what), e.getMessage)
     }

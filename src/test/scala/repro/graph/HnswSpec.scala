@@ -27,7 +27,13 @@ class HnswSpec extends AnyFunSuite {
   }
 
   test("base-layer degrees respect the 2M cap") {
-    for (u <- 0 until vs.n) assert(h.degree0(u) <= 24, s"node $u degree ${h.degree0(u)}")
+    for (u <- 0 until vs.n) assert(h.degree(0, u) <= 24, s"node $u degree ${h.degree(0, u)}")
+  }
+
+  test("upper-level degrees respect the M cap") {
+    assert(h.maxLevel >= 1)
+    for (l <- 1 to h.maxLevel; u <- 0 until vs.n)
+      assert(h.degree(l, u) <= 12, s"level $l node $u degree ${h.degree(l, u)}")
   }
 
   test("build is deterministic given the seed") {
