@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.graph.EpochMarks
+
 /** Algorithm 1 — on-the-fly edge selection for the dedicated graph.
   *
   * For a node u and query range [L, R] (ranks, inclusive), walk u's branch
@@ -14,15 +16,21 @@ package repro.core
   * same robustness against in-range pruning as the child's, so the layer is
   * skipped without selecting — this is what turns O(m log n) into amortized
   * O(m + log n): at most two boundary-crossing segments per layer actually
-  * contribute scans.
+  * contribute scans. Every layer above the range's split point qualifies
+  * while u's child still contains all of [L, R], so the walk first descends
+  * through those without any intersection arithmetic.
   *
   * Within a layer, neighbor lists are stored sorted by distance, so
   * insertion order implements the paper's priority (upper layers first,
-  * closer neighbors first) without extra distance computations. Output is
-  * written into `out` (length ≥ m + 1) and -1-terminated so the search's
-  * scratch buffer can be reused across expansions.
+  * closer neighbors first) without extra distance computations. Dedup marks
+  * each selected rank in a per-thread [[EpochMarks]], O(1) per neighbor with
+  * no allocation on the query path. Output is written into `out`
+  * (length ≥ m + 1) and -1-terminated so the search's scratch buffer can be
+  * reused across expansions.
   */
 object EdgeSelection {
+
+  private val selected = ThreadLocal.withInitial[EpochMarks](() => new EpochMarks)
 
   /** Algorithm 1 for node u and range [L, R]; returns the edge count.
     * `skip = false` is the iRangeGraph⁻ ablation: every layer is scanned,
@@ -31,19 +39,33 @@ object EdgeSelection {
   def select(g: ElementalGraphs, u: Int, L: Int, R: Int, out: Array[Int],
              skip: Boolean = true): Int = {
     val m = g.m
+    val seen = selected.get()
+    seen.clear()
     var l = 0
     var r = g.n - 1
     var lay = 0
+    // [l, r] contains [L, R]: while u's child does too, both intersections
+    // equal [L, R] and the skipping rule leaves the layer to the child.
+    var above = skip
+    while (above && l < r) {
+      val cm = SegmentTree.mid(l, r)
+      if (u <= cm && R <= cm) r = cm
+      else if (u > cm && L > cm) l = cm + 1
+      else above = false
+      if (above) lay += 1
+    }
     var count = 0
     var done = false
     while (!done && count < m && l < r) {
       val cm = SegmentTree.mid(l, r)
-      val (lc, rc) = if (u <= cm) (l, cm) else (cm + 1, r)
+      var lc = l
+      var rc = r
+      if (u <= cm) rc = cm else lc = cm + 1
       // Same intersection as the child: its edges are equally robust, so the
       // skipping variant leaves this layer to the child. (A covered segment
       // never qualifies: its child's intersection is strictly smaller.)
       if (!skip || SegmentTree.intersectLen(lc, rc, L, R) != SegmentTree.intersectLen(l, r, L, R)) {
-        count = appendInRange(g, lay, u, L, R, out, count)
+        count = appendInRange(g, lay, u, L, R, out, count, seen)
         done = L <= l && r <= R
       }
       l = lc; r = rc; lay += 1
@@ -56,24 +78,23 @@ object EdgeSelection {
   def selectNoSkip(g: ElementalGraphs, u: Int, L: Int, R: Int, out: Array[Int]): Int =
     select(g, u, L, R, out, skip = false)
 
-  /** Append u's in-range layer-`lay` neighbors to out[count..), deduped,
-    * stopping at m. Neighbor lists are short (≤ m), so dedup is a linear
-    * scan over `out` — no allocation on the query path.
+  /** Append u's in-range layer-`lay` neighbors not yet in `seen` to
+    * out[count..), stopping at m.
     */
   private def appendInRange(g: ElementalGraphs, lay: Int, u: Int, L: Int, R: Int,
-                            out: Array[Int], count0: Int): Int = {
+                            out: Array[Int], count0: Int, seen: EpochMarks): Int = {
     val m = g.m
     val a = g.layers(lay)
     val base = u * m
+    val span = R - L
     var count = count0
     var j = 0
     while (j < m && count < m && a(base + j) >= 0) {
       val v = a(base + j)
-      if (v >= L && v <= R) {
-        var dup = false
-        var t = 0
-        while (!dup && t < count) { if (out(t) == v) dup = true; t += 1 }
-        if (!dup) { out(count) = v; count += 1 }
+      // L <= v <= R as one unsigned compare.
+      if (Integer.compareUnsigned(v - L, span) <= 0 && seen.add(v)) {
+        out(count) = v
+        count += 1
       }
       j += 1
     }

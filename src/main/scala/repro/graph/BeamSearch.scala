@@ -25,19 +25,28 @@ final class SearchStats {
   * negative id terminates the list early, which lets callers reuse a padded
   * scratch buffer across expansions (the on-the-fly edge selection does).
   *
-  * Termination follows the standard filtered-search convention: the beam is
-  * the set of best *visited* nodes; the search stops when the nearest
-  * unexpanded candidate is farther than the beam's worst member and the beam
-  * is full. Results are the admitted nodes seen, best-first, top-k.
+  * The beam is the set of the best `beam` *visited* nodes, kept as one list
+  * sorted by (distance, id) with an expanded flag per entry — DiskANN's
+  * candidate list (Subramanya et al., NeurIPS 2019). The search expands the
+  * closest unexpanded beam member until none is left, which is the standard
+  * filtered-search stop: the nearest unexpanded candidate is farther than
+  * the beam's worst member and the beam is full. Results are the admitted
+  * nodes seen, best-first, top-k; with the default `admit` ([[AdmitAll]])
+  * and k ≤ beam they are the head of the beam itself.
   *
   * Bookkeeping allocates nothing per search but the k returned candidates:
-  * the three heaps are binary heaps on primitive (distance, id) arrays, and
-  * the visited set is an epoch-stamped `Array[Int]` indexed by id (ids are
-  * dense ranks). Both live in a `Scratch` taken from a per-thread pool —
-  * hnswlib's visited-list pool — so concurrent builder tasks never share
-  * one, and a search started from inside another's closures gets its own.
+  * the beam and the admitted set are sorted primitive (distance, id) arrays,
+  * and the visited set is an [[EpochMarks]] indexed by id (ids are dense
+  * ranks). They live in a `Scratch` taken from a per-thread pool — hnswlib's
+  * visited-list pool — so concurrent builder tasks never share one, and a
+  * search started from inside another's closures gets its own.
   */
 object BeamSearch {
+
+  /** The default `admit`: every node may be a result. Passing this value
+    * (compared by reference) lets the search read results off the beam.
+    */
+  val AdmitAll: Int => Boolean = _ => true
 
   def search(
       q: Array[Float],
@@ -47,7 +56,7 @@ object BeamSearch {
       k: Int,
       neighbors: Int => Array[Int],
       visit: Int => Boolean = _ => true,
-      admit: Int => Boolean = _ => true,
+      admit: Int => Boolean = AdmitAll,
       stats: SearchStats = null,
   ): Array[Candidate] = {
     require(beam >= 1, s"beam must be >= 1, got $beam")
@@ -70,143 +79,117 @@ object BeamSearch {
   /** Per-thread chain of scratches; a search takes the first idle one. */
   private val pool = ThreadLocal.withInitial[Scratch](() => new Scratch)
 
-  /** Binary heap of (distance, id) pairs on parallel primitive arrays, with
-    * the greatest pair on top if `maxOnTop`, else the least.
+  /** The best `cap` (distance, id) pairs offered since `reset`, ascending,
+    * on parallel primitive arrays, each with an expanded flag. `cursor` is
+    * the index of the first unexpanded entry (`size` if none).
     */
-  private final class Heap(maxOnTop: Boolean) {
-    private var ds = new Array[Float](64)
-    private var ids = new Array[Int](64)
+  private final class SortedList {
+    var ds = new Array[Float](64)
+    var ids = new Array[Int](64)
+    private var expanded = new Array[Boolean](64)
     var size = 0
+    var cursor = 0
+    private var cap = 0
 
-    def topDist: Float = ds(0)
-    def topId: Int = ids(0)
-
-    private def above(da: Float, ia: Int, db: Float, ib: Int): Boolean =
-      if (maxOnTop) less(db, ib, da, ia) else less(da, ia, db, ib)
-
-    def push(d: Float, id: Int): Unit = {
-      if (size == ds.length) {
-        ds = java.util.Arrays.copyOf(ds, 2 * size)
-        ids = java.util.Arrays.copyOf(ids, 2 * size)
+    def reset(capacity: Int): Unit = {
+      if (capacity > ds.length) {
+        ds = new Array[Float](capacity)
+        ids = new Array[Int](capacity)
+        expanded = new Array[Boolean](capacity)
       }
-      var i = size
-      size += 1
-      var up = true
-      while (up && i > 0) {
-        val p = (i - 1) >>> 1
-        if (above(d, id, ds(p), ids(p))) { ds(i) = ds(p); ids(i) = ids(p); i = p }
-        else up = false
-      }
-      ds(i) = d
-      ids(i) = id
+      cap = capacity
+      size = 0
+      cursor = 0
     }
 
-    def pop(): Unit = {
-      size -= 1
-      if (size > 0) replaceTop(ds(size), ids(size))
+    /** Inserts an unexpanded (d, id) unless the list is full of better pairs;
+      * an insert before the cursor moves the cursor back to it.
+      */
+    def insert(d: Float, id: Int): Unit =
+      if (size < cap || less(d, id, ds(size - 1), ids(size - 1))) {
+        var lo = 0
+        var hi = size
+        while (lo < hi) {
+          val mid = (lo + hi) >>> 1
+          if (less(ds(mid), ids(mid), d, id)) lo = mid + 1 else hi = mid
+        }
+        val moved = (if (size < cap) size else size - 1) - lo
+        System.arraycopy(ds, lo, ds, lo + 1, moved)
+        System.arraycopy(ids, lo, ids, lo + 1, moved)
+        System.arraycopy(expanded, lo, expanded, lo + 1, moved)
+        ds(lo) = d
+        ids(lo) = id
+        expanded(lo) = false
+        if (size < cap) size += 1
+        if (lo < cursor) cursor = lo
+      }
+
+    /** Moves the cursor onto the first unexpanded entry; false if none. */
+    def hasUnexpanded: Boolean = {
+      while (cursor < size && expanded(cursor)) cursor += 1
+      cursor < size
     }
 
-    def replaceTop(d: Float, id: Int): Unit = {
-      var i = 0
-      var down = true
-      while (down && 2 * i + 1 < size) {
-        var c = 2 * i + 1
-        if (c + 1 < size && above(ds(c + 1), ids(c + 1), ds(c), ids(c))) c += 1
-        if (above(ds(c), ids(c), d, id)) { ds(i) = ds(c); ids(i) = ids(c); i = c }
-        else down = false
-      }
-      ds(i) = d
-      ids(i) = id
+    /** Marks the entry at the cursor expanded and returns its id. */
+    def expandNext(): Int = {
+      expanded(cursor) = true
+      ids(cursor)
     }
   }
 
-  /** Heaps and visited set of one running search. */
+  /** Beam, admitted set and visited set of one running search. */
   private final class Scratch {
     var busy = false
     var next: Scratch = null
-    // Min-heap of unexpanded candidates.
-    private val frontier = new Heap(maxOnTop = false)
-    // Max-heap of the best `beam` visited nodes.
-    private val beamHeap = new Heap(maxOnTop = true)
-    // Max-heap of the best max(k, beam) admitted nodes.
-    private val admitted = new Heap(maxOnTop = true)
-    // Id i is visited in this search iff stamp(i) == epoch.
-    private var stamp = new Array[Int](1024)
-    private var epoch = 0
-
-    private def visited(id: Int): Boolean = id < stamp.length && stamp(id) == epoch
-
-    /** Marks `id` visited; false if it already was. */
-    private def markVisited(id: Int): Boolean = {
-      if (id >= stamp.length)
-        stamp = java.util.Arrays.copyOf(stamp, math.max(id + 1, 2 * stamp.length))
-      if (stamp(id) == epoch) false
-      else { stamp(id) = epoch; true }
-    }
-
-    private def offer(id: Int, dist: Int => Float, admit: Int => Boolean,
-                      stats: SearchStats, beam: Int, admitCap: Int): Unit = {
-      val d = dist(id)
-      if (stats != null) stats.distComputations += 1
-      if (beamHeap.size < beam) {
-        frontier.push(d, id)
-        beamHeap.push(d, id)
-      } else if (less(d, id, beamHeap.topDist, beamHeap.topId)) {
-        frontier.push(d, id)
-        beamHeap.replaceTop(d, id)
-      }
-      if (admit(id)) {
-        if (admitted.size < admitCap) admitted.push(d, id)
-        else if (less(d, id, admitted.topDist, admitted.topId)) admitted.replaceTop(d, id)
-      }
-    }
+    // The best `beam` visited nodes.
+    private val beamList = new SortedList
+    // The best max(k, beam) admitted nodes (flags unused), when not the beam.
+    private val admitted = new SortedList
+    private val visited = new EpochMarks
 
     def search(dist: Int => Float, entries: Seq[Int], beam: Int, k: Int,
                neighbors: Int => Array[Int], visit: Int => Boolean,
                admit: Int => Boolean, stats: SearchStats): Array[Candidate] = {
-      epoch += 1
-      if (epoch == 0) { java.util.Arrays.fill(stamp, 0); epoch = 1 }
-      frontier.size = 0
-      beamHeap.size = 0
-      admitted.size = 0
-      val admitCap = math.max(k, beam)
+      visited.clear()
+      beamList.reset(beam)
+      // With every node admitted and k <= beam, the admitted set is the beam.
+      val results = if ((admit eq AdmitAll) && k <= beam) beamList else admitted
+      if (results ne beamList) admitted.reset(math.max(k, beam))
+
+      def offer(id: Int): Unit = {
+        val d = dist(id)
+        if (stats != null) stats.distComputations += 1
+        beamList.insert(d, id)
+        if ((results ne beamList) && admit(id)) admitted.insert(d, id)
+      }
 
       val it = entries.iterator
       while (it.hasNext) {
         val e = it.next()
-        if (visit(e) && markVisited(e)) offer(e, dist, admit, stats, beam, admitCap)
+        if (visit(e) && visited.add(e)) offer(e)
       }
 
-      var done = false
-      while (!done && frontier.size > 0) {
-        val cd = frontier.topDist
-        val cur = frontier.topId
-        frontier.pop()
-        // Stop when the best unexpanded node can no longer improve the beam.
-        if (beamHeap.size >= beam && less(beamHeap.topDist, beamHeap.topId, cd, cur)) done = true
-        else {
-          if (stats != null) stats.nodesExpanded += 1
-          val nbrs = neighbors(cur)
-          var j = 0
-          while (j < nbrs.length && nbrs(j) >= 0) {
-            val v = nbrs(j)
-            if (stats != null) stats.edgesScanned += 1
-            if (!visited(v) && visit(v)) {
-              markVisited(v)
-              offer(v, dist, admit, stats, beam, admitCap)
-            }
-            j += 1
+      while (beamList.hasUnexpanded) {
+        val cur = beamList.expandNext()
+        if (stats != null) stats.nodesExpanded += 1
+        val nbrs = neighbors(cur)
+        var j = 0
+        while (j < nbrs.length && nbrs(j) >= 0) {
+          val v = nbrs(j)
+          if (stats != null) stats.edgesScanned += 1
+          if (!visited.contains(v) && visit(v)) {
+            visited.add(v)
+            offer(v)
           }
+          j += 1
         }
       }
 
-      val out = new Array[Candidate](math.max(0, math.min(k, admitted.size)))
-      while (admitted.size > out.length) admitted.pop()
-      var i = out.length - 1
-      while (i >= 0) {
-        out(i) = Candidate(admitted.topId, admitted.topDist)
-        admitted.pop()
-        i -= 1
+      val out = new Array[Candidate](math.max(0, math.min(k, results.size)))
+      var i = 0
+      while (i < out.length) {
+        out(i) = Candidate(results.ids(i), results.ds(i))
+        i += 1
       }
       out
     }

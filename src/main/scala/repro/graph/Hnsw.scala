@@ -46,7 +46,7 @@ final class Hnsw private (
     */
   private def searchLevel(q: Array[Float], entriesIn: Seq[Int], beam: Int, k: Int, level: Int,
                           visit: Int => Boolean = _ => true,
-                          admit: Int => Boolean = _ => true,
+                          admit: Int => Boolean = BeamSearch.AdmitAll,
                           stats: SearchStats = null): Array[Candidate] = {
     val a = links(level)
     val c = cap(level)
@@ -111,7 +111,7 @@ final class Hnsw private (
       k: Int,
       ef: Int,
       visit: Int => Boolean = _ => true,
-      admit: Int => Boolean = _ => true,
+      admit: Int => Boolean = BeamSearch.AdmitAll,
       stats: SearchStats = null,
   ): Array[Candidate] = {
     if (entryPoint < 0) return Array.empty
@@ -129,7 +129,7 @@ final class Hnsw private (
       k: Int,
       ef: Int,
       visit: Int => Boolean = _ => true,
-      admit: Int => Boolean = _ => true,
+      admit: Int => Boolean = BeamSearch.AdmitAll,
       stats: SearchStats = null,
   ): Array[Candidate] =
     searchLevel(q, entries, math.max(ef, k), k, 0, visit, admit, stats)

@@ -104,7 +104,7 @@ final class IncrementalGraph(
     */
   def search(q: Array[Float], entries: Seq[Int], k: Int, ef: Int, t: Int = step,
              visit: Int => Boolean = _ => true,
-             admit: Int => Boolean = _ => true,
+             admit: Int => Boolean = BeamSearch.AdmitAll,
              stats: SearchStats = null): Array[Candidate] = {
     val scratch = new Array[Int](m + 1)
     BeamSearch.search(q, (i: Int) => vs.dist2(i, q), entries, math.max(ef, k), k,

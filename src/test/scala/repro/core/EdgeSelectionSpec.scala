@@ -10,11 +10,7 @@ class EdgeSelectionSpec extends AnyFunSuite {
   private val vs = TestData.clusteredVs(n, 6, clusters = 5, seed = 81)
   private lazy val g = ElementalGraphBuilder.build(vs, m = m, ef = 40)
 
-  private def sel(u: Int, L: Int, R: Int): Seq[Int] = {
-    val out = new Array[Int](m + 1)
-    val c = EdgeSelection.select(g, u, L, R, out)
-    out.take(c).toSeq
-  }
+  private def sel(u: Int, L: Int, R: Int): Seq[Int] = select(g, u, L, R, skip = true)
 
   private def selNoSkip(u: Int, L: Int, R: Int): Seq[Int] = {
     val out = new Array[Int](m + 1)
@@ -22,23 +18,51 @@ class EdgeSelectionSpec extends AnyFunSuite {
     out.take(c).toSeq
   }
 
-  /** Reference implementation straight from Algorithm 1's text. */
-  private def reference(u: Int, L: Int, R: Int): Seq[Int] = {
-    var l = 0; var r = n - 1; var lay = 0
+  /** Reference implementation straight from Algorithm 1's text; with
+    * `skip = false` no layer is left to its child (iRangeGraph⁻).
+    */
+  private def reference(g: ElementalGraphs, u: Int, L: Int, R: Int, skip: Boolean): Seq[Int] = {
+    var l = 0; var r = g.n - 1; var lay = 0
     val s = scala.collection.mutable.LinkedHashSet.empty[Int]
     var done = false
-    while (!done && s.size < m && l < r) {
+    while (!done && s.size < g.m && l < r) {
       val (lc, rc) = SegmentTree.childContaining(l, r, u)
-      if (SegmentTree.intersectLen(lc, rc, L, R) == SegmentTree.intersectLen(l, r, L, R)) {
+      if (skip && SegmentTree.intersectLen(lc, rc, L, R) == SegmentTree.intersectLen(l, r, L, R)) {
         l = lc; r = rc; lay += 1
       } else {
-        for (v <- g.neighbors(lay, u) if v >= L && v <= R && s.size < m) s += v
+        for (v <- g.neighbors(lay, u) if v >= L && v <= R && s.size < g.m) s += v
         if (L <= l && r <= R) done = true
         else { l = lc; r = rc; lay += 1 }
       }
     }
     s.toSeq
   }
+
+  private def reference(u: Int, L: Int, R: Int): Seq[Int] = reference(g, u, L, R, skip = true)
+
+  private def select(g: ElementalGraphs, u: Int, L: Int, R: Int, skip: Boolean): Seq[Int] = {
+    val out = new Array[Int](g.m + 1)
+    val c = EdgeSelection.select(g, u, L, R, out, skip)
+    assert(out(c) == -1)
+    out.take(c).toSeq
+  }
+
+  /** (u, L, R) triples: random ranges with u anywhere in [0, n) (so often
+    * outside the range), singleton ranges, and the full range.
+    */
+  private def cases(n: Int, count: Int, seed: Long): Seq[(Int, Int, Int)] = {
+    val rnd = new java.util.Random(seed)
+    Seq.fill(count) {
+      val a = rnd.nextInt(n); val b = rnd.nextInt(n)
+      (rnd.nextInt(n), math.min(a, b), math.max(a, b))
+    } ++ Seq.fill(count / 4) {
+      val v = rnd.nextInt(n)
+      (if (rnd.nextBoolean()) v else rnd.nextInt(n), v, v)
+    } ++ Seq((rnd.nextInt(n), 0, n - 1))
+  }
+
+  private lazy val g700 = ElementalGraphBuilder.build(TestData.clusteredVs(700, 6, 5, seed = 86), m, ef = 40)
+  private lazy val g1000 = ElementalGraphBuilder.build(TestData.clusteredVs(1000, 6, 5, seed = 87), m, ef = 40)
 
   test("matches the straight-from-paper reference on many random ranges") {
     val rnd = new java.util.Random(82)
@@ -136,5 +160,54 @@ class EdgeSelectionSpec extends AnyFunSuite {
     // intersection differs; for a perfectly aligned segment range that is
     // the covered segment itself — a single layer.
     assert(sel(u, l, r) == g.neighbors(5, u).filter(v => v >= l && v <= r).take(m).toSeq)
+  }
+
+  for ((name, graph) <- Seq("700" -> (() => g700), "1000" -> (() => g1000)); skip <- Seq(true, false)) {
+    test(s"n = $name, skip = $skip: matches the reference, u inside or outside [L, R], L = R included") {
+      val gr = graph()
+      var outside = 0
+      var singletons = 0
+      for ((u, ql, qr) <- cases(gr.n, 400, 88 + gr.n)) {
+        if (u < ql || u > qr) outside += 1
+        if (ql == qr) singletons += 1
+        assert(select(gr, u, ql, qr, skip) == reference(gr, u, ql, qr, skip), s"u=$u range=[$ql,$qr]")
+      }
+      assert(outside > 100 && singletons > 50)
+    }
+  }
+
+  test("4 threads selecting at once get the sequential results") {
+    val cs = cases(1000, 300, 89)
+    val expected = cs.map { case (u, ql, qr) => select(g1000, u, ql, qr, skip = true) }
+    val failures = new java.util.concurrent.ConcurrentLinkedQueue[String]()
+    val threads = Array.tabulate(4) { t =>
+      new Thread(() => {
+        for (round <- 0 until 5; i <- cs.indices) {
+          val j = (i + 37 * t) % cs.length
+          val (u, ql, qr) = cs(j)
+          if (select(g1000, u, ql, qr, skip = (round + t) % 2 == 0) !=
+              reference(g1000, u, ql, qr, skip = (round + t) % 2 == 0))
+            failures.add(s"thread $t round $round case $j")
+          if (round == 0 && select(g1000, u, ql, qr, skip = true) != expected(j))
+            failures.add(s"thread $t case $j differs from the sequential result")
+        }
+      })
+    }
+    threads.foreach(_.start())
+    threads.foreach(_.join())
+    assert(failures.isEmpty, failures.toString)
+  }
+
+  test("one thread selecting on n = 256 and then n = 1000 stays exact as its marks grow") {
+    val failures = new java.util.concurrent.ConcurrentLinkedQueue[String]()
+    // A fresh thread, so its dedup marks start empty.
+    val t = new Thread(() => {
+      for (round <- 0 until 2; (gr, seed) <- Seq(g -> 90L, g1000 -> 91L); (u, ql, qr) <- cases(gr.n, 200, seed + round))
+        if (select(gr, u, ql, qr, skip = true) != reference(gr, u, ql, qr, skip = true))
+          failures.add(s"n=${gr.n} round $round u=$u range=[$ql,$qr]")
+    })
+    t.start()
+    t.join()
+    assert(failures.isEmpty, failures.toString)
   }
 }

@@ -173,4 +173,185 @@ class BeamSearchSpec extends AnyFunSuite {
     t.join()
     assert(failures.isEmpty, failures.toString)
   }
+
+  /** The kernel before the sorted beam list, kept as the oracle: a min-heap
+    * frontier of unexpanded nodes, a max-heap of the best `beam` visited
+    * nodes and a max-heap of the best max(k, beam) admitted nodes; stop when
+    * the popped frontier node is worse than a full beam's worst member.
+    */
+  private def threeHeapSearch(dist: Int => Float, entries: Seq[Int], beam: Int, k: Int,
+                              neighbors: Int => Array[Int], visit: Int => Boolean,
+                              admit: Int => Boolean, stats: SearchStats): Array[Candidate] = {
+    def less(da: Float, ia: Int, db: Float, ib: Int): Boolean = {
+      val c = java.lang.Float.compare(da, db)
+      c < 0 || (c == 0 && ia < ib)
+    }
+    final class Heap(maxOnTop: Boolean) {
+      private var ds = new Array[Float](64)
+      private var ids = new Array[Int](64)
+      var size = 0
+      def topDist: Float = ds(0)
+      def topId: Int = ids(0)
+      private def above(da: Float, ia: Int, db: Float, ib: Int): Boolean =
+        if (maxOnTop) less(db, ib, da, ia) else less(da, ia, db, ib)
+      def push(d: Float, id: Int): Unit = {
+        if (size == ds.length) {
+          ds = java.util.Arrays.copyOf(ds, 2 * size)
+          ids = java.util.Arrays.copyOf(ids, 2 * size)
+        }
+        var i = size
+        size += 1
+        var up = true
+        while (up && i > 0) {
+          val p = (i - 1) >>> 1
+          if (above(d, id, ds(p), ids(p))) { ds(i) = ds(p); ids(i) = ids(p); i = p }
+          else up = false
+        }
+        ds(i) = d
+        ids(i) = id
+      }
+      def pop(): Unit = {
+        size -= 1
+        if (size > 0) replaceTop(ds(size), ids(size))
+      }
+      def replaceTop(d: Float, id: Int): Unit = {
+        var i = 0
+        var down = true
+        while (down && 2 * i + 1 < size) {
+          var c = 2 * i + 1
+          if (c + 1 < size && above(ds(c + 1), ids(c + 1), ds(c), ids(c))) c += 1
+          if (above(ds(c), ids(c), d, id)) { ds(i) = ds(c); ids(i) = ids(c); i = c }
+          else down = false
+        }
+        ds(i) = d
+        ids(i) = id
+      }
+    }
+    val frontier = new Heap(maxOnTop = false)
+    val beamHeap = new Heap(maxOnTop = true)
+    val admitted = new Heap(maxOnTop = true)
+    val visited = scala.collection.mutable.HashSet.empty[Int]
+    val admitCap = math.max(k, beam)
+    def offer(id: Int): Unit = {
+      val d = dist(id)
+      if (stats != null) stats.distComputations += 1
+      if (beamHeap.size < beam) {
+        frontier.push(d, id)
+        beamHeap.push(d, id)
+      } else if (less(d, id, beamHeap.topDist, beamHeap.topId)) {
+        frontier.push(d, id)
+        beamHeap.replaceTop(d, id)
+      }
+      if (admit(id)) {
+        if (admitted.size < admitCap) admitted.push(d, id)
+        else if (less(d, id, admitted.topDist, admitted.topId)) admitted.replaceTop(d, id)
+      }
+    }
+    for (e <- entries) if (visit(e) && visited.add(e)) offer(e)
+    var done = false
+    while (!done && frontier.size > 0) {
+      val cd = frontier.topDist
+      val cur = frontier.topId
+      frontier.pop()
+      if (beamHeap.size >= beam && less(beamHeap.topDist, beamHeap.topId, cd, cur)) done = true
+      else {
+        if (stats != null) stats.nodesExpanded += 1
+        val nbrs = neighbors(cur)
+        var j = 0
+        while (j < nbrs.length && nbrs(j) >= 0) {
+          val v = nbrs(j)
+          if (stats != null) stats.edgesScanned += 1
+          if (!visited.contains(v) && visit(v)) {
+            visited.add(v)
+            offer(v)
+          }
+          j += 1
+        }
+      }
+    }
+    val out = new Array[Candidate](math.max(0, math.min(k, admitted.size)))
+    while (admitted.size > out.length) admitted.pop()
+    var i = out.length - 1
+    while (i >= 0) {
+      out(i) = Candidate(admitted.topId, admitted.topDist)
+      admitted.pop()
+      i -= 1
+    }
+    out
+  }
+
+  /** Random directed graph on [0, n): each list holds 1..deg random ids,
+    * repeats and self-loops allowed, sometimes -1-terminated early.
+    */
+  private def randomGraph(n: Int, deg: Int, seed: Long): Array[Array[Int]] = {
+    val rnd = new java.util.Random(seed)
+    Array.fill(n) {
+      val a = Array.fill(1 + rnd.nextInt(deg))(rnd.nextInt(n))
+      if (rnd.nextInt(4) == 0) a(rnd.nextInt(a.length)) = -1
+      a
+    }
+  }
+
+  /** MultiAttr's stateful p = exp(-t) visit rule over an `ok` predicate. */
+  private def expVisit(ok: Int => Boolean, seed: Long): Int => Boolean = {
+    val rnd = new java.util.SplittableRandom(seed)
+    var t = 0
+    (i: Int) => {
+      if (ok(i)) { t = 0; true }
+      else {
+        val go = rnd.nextDouble() < math.exp(-t.toDouble)
+        if (go) t += 1
+        go
+      }
+    }
+  }
+
+  private val filters: Seq[(String, Long => (Int => Boolean, Int => Boolean))] = Seq(
+    "no filter" -> (_ => (_ => true, BeamSearch.AdmitAll)),
+    "admit filter" -> (_ => (_ => true, (i: Int) => i % 3 != 1)),
+    "visit filter" -> (_ => ((i: Int) => i % 5 != 2, BeamSearch.AdmitAll)),
+    "p = exp(-t) visit and admit filter" -> (seed => (expVisit(_ % 2 == 0, seed), (i: Int) => i % 2 == 0)),
+  )
+
+  for ((name, filter) <- filters; (beam, k) <- Seq((1, 1), (1, 3), (8, 3), (8, 8), (8, 20), (20, 10), (20, 20), (20, 35))) {
+    test(s"equals the three-heap kernel in ids, distances and stats: $name, beam $beam, k $k") {
+      // Half the vectors are duplicates of the other half, so distances tie.
+      val n = 300
+      val base = TestData.randomVs(n / 2, 4, seed = 50)
+      val data = new VecStore(4, n, Array.tabulate(n * 4)(j => base.data(j % (n / 2 * 4))))
+      val qs = TestData.randomQueries(12, 4, seed = 51)
+      for ((q, qi) <- qs.zipWithIndex) {
+        val adj = randomGraph(n, 10, seed = 52 + qi)
+        val rnd = new java.util.Random(53 + qi)
+        val es = Seq.fill(2 + rnd.nextInt(4))(rnd.nextInt(n))
+        val entries = es :+ es.head // a duplicate entry
+        val (visitA, admitA) = filter(qi)
+        val (visitB, admitB) = filter(qi)
+        val statsA = new SearchStats
+        val statsB = new SearchStats
+        val got = BeamSearch.search(q, i => data.dist2(i, q), entries, beam, k, u => adj(u),
+          visit = visitA, admit = admitA, stats = statsA)
+        val want = threeHeapSearch(i => data.dist2(i, q), entries, beam, k, u => adj(u),
+          visitB, admitB, statsB)
+        assert(got.toSeq == want.toSeq, s"query $qi")
+        assert((statsA.distComputations, statsA.nodesExpanded, statsA.edgesScanned) ==
+          (statsB.distComputations, statsB.nodesExpanded, statsB.edgesScanned), s"query $qi")
+      }
+    }
+  }
+
+  test("the default admit gives the same result and stats as an explicit _ => true") {
+    val adj = randomGraph(400, 12, seed = 54)
+    val big = TestData.randomVs(400, 6, seed = 55)
+    for (q <- TestData.randomQueries(20, 6, seed = 56); (beam, k) <- Seq((10, 10), (10, 4), (4, 10))) {
+      val statsA = new SearchStats
+      val statsB = new SearchStats
+      val a = BeamSearch.search(q, i => big.dist2(i, q), Seq(0, 200), beam, k, u => adj(u), stats = statsA)
+      val b = BeamSearch.search(q, i => big.dist2(i, q), Seq(0, 200), beam, k, u => adj(u),
+        admit = _ => true, stats = statsB)
+      assert(a.toSeq == b.toSeq)
+      assert((statsA.distComputations, statsA.nodesExpanded, statsA.edgesScanned) ==
+        (statsB.distComputations, statsB.nodesExpanded, statsB.edgesScanned))
+    }
+  }
 }
