@@ -16,9 +16,7 @@ import repro.graph.EpochMarks
   * same robustness against in-range pruning as the child's, so the layer is
   * skipped without selecting — this is what turns O(m log n) into amortized
   * O(m + log n): at most two boundary-crossing segments per layer actually
-  * contribute scans. Every layer above the range's split point qualifies
-  * while u's child still contains all of [L, R], so the walk first descends
-  * through those without any intersection arithmetic.
+  * contribute scans.
   *
   * Within a layer, neighbor lists are stored sorted by distance, so
   * insertion order implements the paper's priority (upper layers first,
@@ -44,16 +42,6 @@ object EdgeSelection {
     var l = 0
     var r = g.n - 1
     var lay = 0
-    // [l, r] contains [L, R]: while u's child does too, both intersections
-    // equal [L, R] and the skipping rule leaves the layer to the child.
-    var above = skip
-    while (above && l < r) {
-      val cm = SegmentTree.mid(l, r)
-      if (u <= cm && R <= cm) r = cm
-      else if (u > cm && L > cm) l = cm + 1
-      else above = false
-      if (above) lay += 1
-    }
     var count = 0
     var done = false
     while (!done && count < m && l < r) {

@@ -44,7 +44,9 @@ final class SearchStats {
 object BeamSearch {
 
   /** The default `admit`: every node may be a result. Passing this value
-    * (compared by reference) lets the search read results off the beam.
+    * (compared by reference) lets the search read results off the beam; any
+    * other always-true function gives the same results through the second
+    * list.
     */
   val AdmitAll: Int => Boolean = _ => true
 
@@ -143,7 +145,7 @@ object BeamSearch {
     var next: Scratch = null
     // The best `beam` visited nodes.
     private val beamList = new SortedList
-    // The best max(k, beam) admitted nodes (flags unused), when not the beam.
+    // The best k admitted nodes (flags unused), when not the beam.
     private val admitted = new SortedList
     private val visited = new EpochMarks
 
@@ -154,7 +156,9 @@ object BeamSearch {
       beamList.reset(beam)
       // With every node admitted and k <= beam, the admitted set is the beam.
       val results = if ((admit eq AdmitAll) && k <= beam) beamList else admitted
-      if (results ne beamList) admitted.reset(math.max(k, beam))
+      // Only the first k admitted nodes are returned, and the list never
+      // steers the search. (At least one slot: insert reads the last one.)
+      if (results ne beamList) admitted.reset(math.max(k, 1))
 
       def offer(id: Int): Unit = {
         val d = dist(id)

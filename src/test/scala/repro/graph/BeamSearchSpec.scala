@@ -313,7 +313,7 @@ class BeamSearchSpec extends AnyFunSuite {
     "p = exp(-t) visit and admit filter" -> (seed => (expVisit(_ % 2 == 0, seed), (i: Int) => i % 2 == 0)),
   )
 
-  for ((name, filter) <- filters; (beam, k) <- Seq((1, 1), (1, 3), (8, 3), (8, 8), (8, 20), (20, 10), (20, 20), (20, 35))) {
+  for ((name, filter) <- filters; (beam, k) <- Seq((1, 1), (1, 3), (8, 0), (8, 3), (8, 8), (8, 20), (20, 10), (20, 20), (20, 35))) {
     test(s"equals the three-heap kernel in ids, distances and stats: $name, beam $beam, k $k") {
       // Half the vectors are duplicates of the other half, so distances tie.
       val n = 300
