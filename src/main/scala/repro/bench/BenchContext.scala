@@ -70,7 +70,6 @@ object BenchContext {
       val (l, r) = w.ranges(qid)
       method.searchFn(qs(qid), l, r, k, beam)
     }
-    if (method.usesBeam) BenchUtil.sweep(search, nQueries, w.gt, beams)
-    else Seq(BenchUtil.measure(search, nQueries, beams.head, w.gt))
+    BenchUtil.sweep(search, nQueries, w.gt, beams)
   }
 }

@@ -14,7 +14,6 @@ final case class BuiltMethod(
     name: String,
     indexBytes: Long,
     buildSeconds: Double,
-    usesBeam: Boolean,
     searchFn: (Array[Float], Int, Int, Int, Int) => Array[Int],
 )
 
@@ -25,7 +24,6 @@ final case class BuiltMethod(
 final case class MethodSuite(
     ds: RfDataset,
     irg: IRangeGraph,
-    hnswAll: Hnsw,
     hnswAllBuildSeconds: Double,
     sparkIrgBuildSeconds: Double,
     serf: SegmentSerf,
@@ -63,7 +61,7 @@ object MethodSuite {
       "Spark and local builds disagree — determinism broken")
     irgGraphs.validate(vs)
 
-    val (hnswAll, tHnsw) = cpuSeconds(Hnsw.buildAll(vs, M, EF))
+    val (_, tHnsw) = cpuSeconds(Hnsw.buildAll(vs, M, EF))
     val (milvus, tMilvus) = cpuSeconds(MilvusLike.build(vs, MilvusParts, M, EF))
     val (superPost, tSuper) = cpuSeconds(SuperPostFiltering.build(vs, M, EF))
     val (serf, tSerf) = cpuSeconds(SegmentSerf.build(vs, SerfGrid, M, EF))
@@ -71,21 +69,21 @@ object MethodSuite {
     val (sVamana, tSv) = cpuSeconds(StitchedVamana.build(vs, VamanaBuckets, M, EF))
 
     val methods = Seq(
-      BuiltMethod("iRangeGraph", irg.sizeBytes, tIrg, usesBeam = true,
+      BuiltMethod("iRangeGraph", irg.sizeBytes, tIrg,
         (q, l, r, k, beam) => irg.search(q, l, r, k, beam).map(_.id)),
-      BuiltMethod("2DSegmentGraph", serf.sizeBytes, tSerf, usesBeam = true,
+      BuiltMethod("2DSegmentGraph", serf.sizeBytes, tSerf,
         (q, l, r, k, beam) => serf.search(q, l, r, k, beam).map(_.id)),
-      BuiltMethod("FilteredVamana", fVamana.sizeBytes, tFv, usesBeam = true,
+      BuiltMethod("FilteredVamana", fVamana.sizeBytes, tFv,
         (q, l, r, k, beam) => fVamana.search(q, l, r, k, beam).map(_.id)),
-      BuiltMethod("StitchedVamana", sVamana.sizeBytes, tSv, usesBeam = true,
+      BuiltMethod("StitchedVamana", sVamana.sizeBytes, tSv,
         (q, l, r, k, beam) => sVamana.search(q, l, r, k, beam).map(_.id)),
-      BuiltMethod("Milvus", milvus.sizeBytes, tMilvus, usesBeam = true,
+      BuiltMethod("Milvus", milvus.sizeBytes, tMilvus,
         (q, l, r, k, beam) => milvus.search(q, l, r, k, beam).map(_.id)),
-      BuiltMethod("SuperPostfiltering", superPost.sizeBytes, tSuper, usesBeam = true,
+      BuiltMethod("SuperPostfiltering", superPost.sizeBytes, tSuper,
         (q, l, r, k, beam) => superPost.search(q, l, r, k, beam).map(_.id)),
-      BuiltMethod("Pre-filtering", 0L, 0.0, usesBeam = false,
+      BuiltMethod("Pre-filtering", 0L, 0.0,
         (q, l, r, k, _) => PreFiltering.search(vs, q, l, r, k).map(_.id)),
     )
-    MethodSuite(ds, irg, hnswAll, tHnsw, tSparkIrg, serf, milvus, methods)
+    MethodSuite(ds, irg, tHnsw, tSparkIrg, serf, milvus, methods)
   }
 }

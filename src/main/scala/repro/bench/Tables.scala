@@ -214,10 +214,7 @@ object Tables {
           ds.queries(qid), r1(qid)._1, r1(qid)._2, k, in2(qid)).map(_.id)),
       )
       variants.map { case (vname, fn) =>
-        val curve =
-          if (vname == "Pre-filtering")
-            Seq(BenchUtil.measure(fn, BenchContext.nQueries, defaultBeams.head, gt))
-          else BenchUtil.sweep(fn, BenchContext.nQueries, gt)
+        val curve = BenchUtil.sweep(fn, BenchContext.nQueries, gt)
         Fig5Cell(ds.name, vname, qpsAtRecall(curve, 0.9), maxRecall(curve))
       }
     }).flatten

@@ -22,6 +22,16 @@ final class IRangeGraph(val vs: VecStore, val graphs: ElementalGraphs) {
              skipLayers: Boolean = true,
              stats: SearchStats = null): Array[Candidate] = {
     checkQuery(q, L, R, k)
+    dedicatedSearch(q, L, R, k, beam, skipLayers, _ => true, BeamSearch.AdmitAll, stats)
+  }
+
+  /** Beam search on the dedicated graph of [L, R] from [[IRangeGraph.entries]],
+    * with the caller's `visit` and `admit` filters (see [[BeamSearch]]);
+    * the caller has checked the query.
+    */
+  private[core] def dedicatedSearch(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
+                                    skipLayers: Boolean, visit: Int => Boolean,
+                                    admit: Int => Boolean, stats: SearchStats): Array[Candidate] = {
     // Scratch adjacency reused across expansions (-1-terminated).
     val scratch = new Array[Int](m + 1)
     BeamSearch.search(
@@ -29,6 +39,8 @@ final class IRangeGraph(val vs: VecStore, val graphs: ElementalGraphs) {
       entries = IRangeGraph.entries(L, R),
       beam = beam, k = k,
       neighbors = (u: Int) => { EdgeSelection.select(graphs, u, L, R, scratch, skipLayers); scratch },
+      visit = visit,
+      admit = admit,
       stats = stats,
     )
   }

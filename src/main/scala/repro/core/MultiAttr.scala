@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.SplittableRandom
-import repro.graph.{BeamSearch, Candidate, SearchStats}
+import repro.graph.{Candidate, SearchStats}
 
 /** Multi-attribute RFANN (Section 4).
   *
@@ -33,14 +33,13 @@ object MultiAttr {
              stats: SearchStats = null): Array[Candidate] = {
     ir.checkQuery(q, L1, R1, k)
     require(0 <= L2 && L2 <= R2 && R2 < ir.n, s"bad second-attribute range [$L2,$R2] for n=${ir.n}")
-    val g = ir.graphs
-    val scratch = new Array[Int](g.m + 1)
     def inRange2(i: Int): Boolean = { val a = attr2Rank(i); a >= L2 && a <= R2 }
-    val entries = IRangeGraph.entries(L1, R1)
 
     val visit: Int => Boolean = strategy match {
       case PostFilter => _ => true
-      case InFilter => (i: Int) => inRange2(i) || entries.contains(i)
+      case InFilter =>
+        val entries = IRangeGraph.entries(L1, R1)
+        (i: Int) => inRange2(i) || entries.contains(i)
       case Probabilistic(seed) =>
         val rnd = new SplittableRandom(seed)
         var t = 0
@@ -55,14 +54,6 @@ object MultiAttr {
         }
     }
 
-    BeamSearch.search(
-      q, (i: Int) => ir.vs.dist2(i, q),
-      entries = entries,
-      beam = beam, k = k,
-      neighbors = (u: Int) => { EdgeSelection.select(g, u, L1, R1, scratch); scratch },
-      visit = visit,
-      admit = inRange2,
-      stats = stats,
-    )
+    ir.dedicatedSearch(q, L1, R1, k, beam, skipLayers = true, visit, inRange2, stats)
   }
 }

@@ -1,17 +1,18 @@
 package repro.data
 
 import org.apache.spark.sql.SparkSession
-import repro.graph.{BruteForce, Candidate, VecStore}
-import scala.collection.mutable
+import repro.graph.{BruteForce, VecStore}
 
 /** Exact range-filtered top-k ground truth.
   *
-  * The Spark path is the canonical distributed-dataflow computation: the
-  * dataset is a Dataset[(rank, vector)], queries are broadcast, each
-  * partition emits its local top-k per query (bounded heaps — at most
-  * partitions × queries × k rows ever cross the wire), and the driver merges.
-  * Tests assert the Spark result equals both the local scan and the DuckDB
-  * oracle; every recall number in the benches is measured against this.
+  * Both paths are [[BruteForce.topK]], the exact (distance, id)-ordered
+  * scan. The Spark path cuts the ranks into `defaultParallelism` contiguous
+  * blocks, one task each; a task reads the broadcast vectors and queries
+  * and returns its block's top-k per query (at most blocks × queries × k
+  * candidates cross the wire, with no shuffle), and the driver merges them
+  * with [[BruteForce.mergeTopK]]. Tests assert the Spark result equals both
+  * the local scan and the DuckDB oracle; every recall number in the benches
+  * is measured against this.
   */
 object GroundTruth {
 
@@ -33,49 +34,26 @@ object GroundTruth {
                    queries: Array[Array[Float]], ranges: Array[(Int, Int)], k: Int,
                    attr2Rank: Array[Int] = null,
                    ranges2: Array[(Int, Int)] = null): Array[Array[Int]] = {
-    import spark.implicits._
-    val dim = vs.dim
-    val rows = (0 until vs.n).map { i =>
-      val a2 = if (attr2Rank == null) -1 else attr2Rank(i)
-      (i, vs.vector(i), a2)
-    }
-    val bq = spark.sparkContext.broadcast(queries)
-    val br = spark.sparkContext.broadcast(ranges)
-    val br2 = spark.sparkContext.broadcast(ranges2)
-    val kk = k
+    require(k >= 1, s"k must be >= 1, got $k")
+    val sc = spark.sparkContext
+    val blocks = sc.defaultParallelism
+    val input = sc.broadcast((vs, queries, ranges, attr2Rank, ranges2))
 
-    val partials = spark
-      .createDataset(rows)
-      .repartition(spark.sparkContext.defaultParallelism)
-      .mapPartitions { it =>
-        val qs = bq.value
-        val rs = br.value
-        val rs2 = br2.value
-        val ord = BruteForce.candidateOrdering
-        val heaps = Array.fill(qs.length)(new mutable.PriorityQueue[Candidate]()(ord))
-        it.foreach { case (id, vec, a2) =>
-          var qid = 0
-          while (qid < qs.length) {
-            val (l, r) = rs(qid)
-            val ok2 = rs2 == null || { val (l2, r2) = rs2(qid); a2 >= l2 && a2 <= r2 }
-            if (id >= l && id <= r && ok2) {
-              val d = VecStore.dist2(vec, qs(qid))
-              val h = heaps(qid)
-              if (h.size < kk) h.enqueue(Candidate(id, d))
-              else if (ord.lt(Candidate(id, d), h.head)) { h.dequeue(); h.enqueue(Candidate(id, d)) }
-            }
-            qid += 1
-          }
-        }
-        heaps.iterator.zipWithIndex.flatMap { case (h, qid) =>
-          h.iterator.map(c => (qid, c.id, c.dist))
-        }
+    val partials = sc.parallelize(0 until blocks, blocks).map { b =>
+      val (v, qs, rs, a2, rs2) = input.value
+      val lo = (v.n.toLong * b / blocks).toInt
+      val hi = (v.n.toLong * (b + 1) / blocks).toInt - 1
+      Array.tabulate(qs.length) { qid =>
+        val (l, r) = rs(qid)
+        val pred: Int => Boolean =
+          if (rs2 == null) _ => true
+          else { val (l2, r2) = rs2(qid); i => a2(i) >= l2 && a2(i) <= r2 }
+        BruteForce.topK(v, qs(qid), math.max(l, lo), math.min(r, hi), k, pred)
       }
-      .collect()
+    }.collect()
 
-    val byQuery = Array.fill(queries.length)(mutable.ArrayBuffer.empty[Candidate])
-    partials.foreach { case (qid, id, d) => byQuery(qid) += Candidate(id, d) }
-    byQuery.map(_.sorted(BruteForce.candidateOrdering).take(k).map(_.id).toArray)
+    Array.tabulate(queries.length)(qid =>
+      BruteForce.mergeTopK(partials.toSeq.map(_(qid)), k).map(_.id))
   }
 
   /** Recall of `got` vs ground truth `gt` for one query:

@@ -25,17 +25,17 @@ final class SearchStats {
   * negative id terminates the list early, which lets callers reuse a padded
   * scratch buffer across expansions (the on-the-fly edge selection does).
   *
-  * The beam is the set of the best `beam` *visited* nodes, kept as one list
-  * sorted by (distance, id) with an expanded flag per entry — DiskANN's
-  * candidate list (Subramanya et al., NeurIPS 2019). The search expands the
-  * closest unexpanded beam member until none is left, which is the standard
-  * filtered-search stop: the nearest unexpanded candidate is farther than
-  * the beam's worst member and the beam is full. Results are the admitted
-  * nodes seen, best-first, top-k; with the default `admit` ([[AdmitAll]])
-  * and k ≤ beam they are the head of the beam itself.
+  * The beam is the set of the best `beam` *visited* nodes, kept as one
+  * [[SortedList]]: sorted by (distance, id), with an expanded flag per
+  * entry (DiskANN's candidate list, Subramanya et al., NeurIPS 2019). The
+  * search expands the closest unexpanded beam member until none is left,
+  * which is the standard filtered-search stop: the nearest unexpanded
+  * candidate is farther than the beam's worst member and the beam is full.
+  * Results are the admitted nodes seen, best-first, top-k; with the default
+  * `admit` ([[AdmitAll]]) and k ≤ beam they are the head of the beam itself.
   *
   * Bookkeeping allocates nothing per search but the k returned candidates:
-  * the beam and the admitted set are sorted primitive (distance, id) arrays,
+  * the beam and the admitted set are sorted lists on primitive arrays,
   * and the visited set is an [[EpochMarks]] indexed by id (ids are dense
   * ranks). They live in a `Scratch` taken from a per-thread pool — hnswlib's
   * visited-list pool — so concurrent builder tasks never share one, and a
@@ -72,72 +72,8 @@ object BeamSearch {
     finally s.busy = false
   }
 
-  /** Ascending (distance, id) — the order of `BruteForce.candidateOrdering`. */
-  private def less(da: Float, ia: Int, db: Float, ib: Int): Boolean = {
-    val c = java.lang.Float.compare(da, db)
-    c < 0 || (c == 0 && ia < ib)
-  }
-
   /** Per-thread chain of scratches; a search takes the first idle one. */
   private val pool = ThreadLocal.withInitial[Scratch](() => new Scratch)
-
-  /** The best `cap` (distance, id) pairs offered since `reset`, ascending,
-    * on parallel primitive arrays, each with an expanded flag. `cursor` is
-    * the index of the first unexpanded entry (`size` if none).
-    */
-  private final class SortedList {
-    var ds = new Array[Float](64)
-    var ids = new Array[Int](64)
-    private var expanded = new Array[Boolean](64)
-    var size = 0
-    var cursor = 0
-    private var cap = 0
-
-    def reset(capacity: Int): Unit = {
-      if (capacity > ds.length) {
-        ds = new Array[Float](capacity)
-        ids = new Array[Int](capacity)
-        expanded = new Array[Boolean](capacity)
-      }
-      cap = capacity
-      size = 0
-      cursor = 0
-    }
-
-    /** Inserts an unexpanded (d, id) unless the list is full of better pairs;
-      * an insert before the cursor moves the cursor back to it.
-      */
-    def insert(d: Float, id: Int): Unit =
-      if (size < cap || less(d, id, ds(size - 1), ids(size - 1))) {
-        var lo = 0
-        var hi = size
-        while (lo < hi) {
-          val mid = (lo + hi) >>> 1
-          if (less(ds(mid), ids(mid), d, id)) lo = mid + 1 else hi = mid
-        }
-        val moved = (if (size < cap) size else size - 1) - lo
-        System.arraycopy(ds, lo, ds, lo + 1, moved)
-        System.arraycopy(ids, lo, ids, lo + 1, moved)
-        System.arraycopy(expanded, lo, expanded, lo + 1, moved)
-        ds(lo) = d
-        ids(lo) = id
-        expanded(lo) = false
-        if (size < cap) size += 1
-        if (lo < cursor) cursor = lo
-      }
-
-    /** Moves the cursor onto the first unexpanded entry; false if none. */
-    def hasUnexpanded: Boolean = {
-      while (cursor < size && expanded(cursor)) cursor += 1
-      cursor < size
-    }
-
-    /** Marks the entry at the cursor expanded and returns its id. */
-    def expandNext(): Int = {
-      expanded(cursor) = true
-      ids(cursor)
-    }
-  }
 
   /** Beam, admitted set and visited set of one running search. */
   private final class Scratch {
@@ -189,13 +125,7 @@ object BeamSearch {
         }
       }
 
-      val out = new Array[Candidate](math.max(0, math.min(k, results.size)))
-      var i = 0
-      while (i < out.length) {
-        out(i) = Candidate(results.ids(i), results.ds(i))
-        i += 1
-      }
-      out
+      results.take(k)
     }
   }
 }

@@ -26,21 +26,16 @@ object BruteForce {
     */
   def topK(vs: VecStore, q: Array[Float], lo: Int, hi: Int, k: Int,
            pred: Int => Boolean = _ => true): Array[Candidate] = {
-    // Bounded max-heap: keep the k smallest seen so far.
-    val heap = new mutable.PriorityQueue[Candidate]()(candidateOrdering)
+    require(k >= 1, s"k must be >= 1, got $k")
+    val best = new SortedList
+    best.reset(k)
     var i = math.max(lo, 0)
     val end = math.min(hi, vs.n - 1)
     while (i <= end) {
-      if (pred(i)) {
-        val d = vs.dist2(i, q)
-        if (heap.size < k) heap.enqueue(Candidate(i, d))
-        else if (candidateOrdering.lt(Candidate(i, d), heap.head)) {
-          heap.dequeue(); heap.enqueue(Candidate(i, d))
-        }
-      }
+      if (pred(i)) best.insert(vs.dist2(i, q), i)
       i += 1
     }
-    heap.dequeueAll.toArray.reverse
+    best.take(k)
   }
 
   /** Exact top-k ids only. */

@@ -73,16 +73,4 @@ object VecStore {
     }
     new VecStore(dim, rows.length, data)
   }
-
-  /** Squared L2 between two raw vectors. */
-  def dist2(a: Array[Float], b: Array[Float]): Float = {
-    var s = 0.0f
-    var j = 0
-    while (j < a.length) {
-      val d = a(j) - b(j)
-      s += d * d
-      j += 1
-    }
-    s
-  }
 }

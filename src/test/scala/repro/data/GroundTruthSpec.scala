@@ -35,6 +35,51 @@ class GroundTruthSpec extends SparkSpec {
       assert(sparkGt(qi).toSeq == localGt(qi).toSeq, s"query $qi")
   }
 
+  /** A fixed permutation of the ids, as a second attribute's ranks. */
+  private lazy val attr2: Array[Int] = {
+    val rnd = new java.util.Random(153)
+    val a2 = Array.tabulate(n)(identity)
+    for (i <- (1 until n).reverse) {
+      val j = rnd.nextInt(i + 1); val t = a2(i); a2(i) = a2(j); a2(j) = t
+    }
+    a2
+  }
+
+  test("Spark ground truth equals the local scan with the second-attribute predicate") {
+    val ranges2 = Array((20, 80), (0, 119), (0, 5), (50, 50), (30, 100), (60, 119))
+    val sparkGt = GroundTruth.computeSpark(spark, vs, queries, ranges, k = 10,
+      attr2Rank = attr2, ranges2 = ranges2)
+    val localGt = GroundTruth.computeLocal(vs, queries, ranges, k = 10,
+      pred = (qi, i) => attr2(i) >= ranges2(qi)._1 && attr2(i) <= ranges2(qi)._2)
+    for (qi <- queries.indices)
+      assert(sparkGt(qi).toSeq == localGt(qi).toSeq, s"query $qi")
+  }
+
+  test("Spark ground truth equals the local scan when some rank blocks are empty") {
+    // Fewer objects than Spark's default parallelism (one rank block per
+    // task), so some blocks hold no rank.
+    val tiny = TestData.randomVs(math.max(1, spark.sparkContext.defaultParallelism / 2), dim, seed = 154)
+    val tinyRanges = Array.fill(queries.length)((0, tiny.n - 1)).updated(1, (tiny.n - 1, tiny.n - 1))
+    val sparkGt = GroundTruth.computeSpark(spark, tiny, queries, tinyRanges, k = 10)
+    val localGt = GroundTruth.computeLocal(tiny, queries, tinyRanges, k = 10)
+    for (qi <- queries.indices)
+      assert(sparkGt(qi).toSeq == localGt(qi).toSeq, s"query $qi")
+  }
+
+  test("Spark ground truth equals the local scan on ranges inside one rank block") {
+    val blocks = spark.sparkContext.defaultParallelism
+    // The second block of ranks, and a range strictly inside it when it
+    // holds three or more.
+    val lo = n / blocks
+    val hi = 2 * n / blocks - 1
+    val inner = if (hi - lo >= 2) (lo + 1, hi - 1) else (lo, hi)
+    val blockRanges = Array.tabulate(queries.length)(qi => if (qi % 2 == 0) (lo, hi) else inner)
+    val sparkGt = GroundTruth.computeSpark(spark, vs, queries, blockRanges, k = 10)
+    val localGt = GroundTruth.computeLocal(vs, queries, blockRanges, k = 10)
+    for (qi <- queries.indices)
+      assert(sparkGt(qi).toSeq == localGt(qi).toSeq, s"query $qi")
+  }
+
   for (qi <- queries.indices) {
     test(s"ground truth top-10 matches DuckDB (query $qi, range ${ranges(qi)})") {
       import spark.implicits._
@@ -64,20 +109,14 @@ class GroundTruthSpec extends SparkSpec {
 
   test("multi-attribute conjunction ground truth matches DuckDB") {
     import spark.implicits._
-    // attach a second attribute rank (fixed permutation)
-    val rnd = new java.util.Random(153)
-    val a2 = Array.tabulate(n)(identity)
-    for (i <- (1 until n).reverse) {
-      val j = rnd.nextInt(i + 1); val t = a2(i); a2(i) = a2(j); a2(j) = t
-    }
     val rows = (0 until n).map { i =>
       val v = vs.vector(i)
-      (i, v(0).toDouble, v(1).toDouble, v(2).toDouble, v(3).toDouble, a2(i))
+      (i, v(0).toDouble, v(1).toDouble, v(2).toDouble, v(3).toDouble, attr2(i))
     }
     val df2 = spark.createDataFrame(rows).toDF("id", "v0", "v1", "v2", "v3", "a2")
     val ranges2 = Array.fill(queries.length)((20, 80))
     val gt = GroundTruth.computeSpark(spark, vs, queries, ranges, k = 10,
-      attr2Rank = a2, ranges2 = ranges2)
+      attr2Rank = attr2, ranges2 = ranges2)
     for (qi <- Seq(0, 1, 5)) {
       val (l, r) = ranges(qi)
       val sparkDf = gt(qi).toSeq.toDF("id")

@@ -48,6 +48,17 @@ class BruteForceSpec extends AnyFunSuite {
     assert(BruteForce.topK(vs, queries(0), 50, 49, 5).isEmpty)
   }
 
+  test("topK with k = 100 over 100 ids matches naive sort") {
+    assert(BruteForce.topKIds(vs, queries(3), 0, 99, 100).toSeq == naive(queries(3), 0, 99, 100))
+  }
+
+  test("topK rejects k < 1") {
+    for (k <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](BruteForce.topK(vs, queries(0), 0, 99, k))
+      assert(e.getMessage.contains(s"k must be >= 1, got $k"))
+    }
+  }
+
   test("mergeTopK dedupes and globally sorts") {
     val a = Array(Candidate(1, 1f), Candidate(2, 3f))
     val b = Array(Candidate(2, 3f), Candidate(3, 2f))

@@ -65,10 +65,4 @@ class VecStoreSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] { vs.slice(5, 11) }
     intercept[IllegalArgumentException] { vs.slice(7, 3) }
   }
-
-  test("static dist2 on raw arrays matches store dist2") {
-    val vs = TestData.randomVs(12, 5, seed = 11)
-    for (i <- 0 until 12; j <- 0 until 12)
-      assert(math.abs(VecStore.dist2(vs.vector(i), vs.vector(j)) - vs.dist2(i, j)) < 1e-5f)
-  }
 }
