@@ -24,6 +24,15 @@ object FilteredDiskann {
       val hi = (n.toLong * (b + 1) / buckets).toInt - 1
       (lo, hi)
     }
+
+  /** Ids [lo, hi] in a Fisher–Yates order from `seed`: the Vamana builds' insertion order. */
+  private[baselines] def shuffled(lo: Int, hi: Int, seed: Long): Seq[Int] = {
+    val rnd = new SplittableRandom(seed)
+    val a = (lo to hi).toArray
+    var i = a.length - 1
+    while (i > 0) { val j = rnd.nextInt(i + 1); val t = a(i); a(i) = a(j); a(j) = t; i -= 1 }
+    a.toSeq
+  }
 }
 
 /** FilteredVamana: one α-robust Vamana graph over the whole dataset (random
@@ -37,14 +46,8 @@ final class FilteredVamana(
     alpha: Float,
     seed: Long,
 ) {
-  private val order: Seq[Int] = {
-    val rnd = new SplittableRandom(seed)
-    val a = Array.tabulate(vs.n)(identity)
-    var i = a.length - 1
-    while (i > 0) { val j = rnd.nextInt(i + 1); val t = a(i); a(i) = a(j); a(j) = t; i -= 1 }
-    a.toSeq
-  }
-  val graph: IncrementalGraph = IncrementalGraph.build(vs, order, m, efConstruction, alpha)
+  val graph: IncrementalGraph =
+    IncrementalGraph.build(vs, FilteredDiskann.shuffled(0, vs.n - 1, seed), m, efConstruction, alpha)
   private val bounds = FilteredDiskann.bucketBounds(vs.n, buckets)
 
   def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
@@ -84,11 +87,7 @@ final class StitchedVamana(
 ) {
   private val bounds = FilteredDiskann.bucketBounds(vs.n, buckets)
   val graphs: Array[IncrementalGraph] = bounds.zipWithIndex.map { case ((lo, hi), b) =>
-    val rnd = new SplittableRandom(seed + b)
-    val a = (lo to hi).toArray
-    var i = a.length - 1
-    while (i > 0) { val j = rnd.nextInt(i + 1); val t = a(i); a(i) = a(j); a(j) = t; i -= 1 }
-    IncrementalGraph.build(vs, a.toSeq, m, efConstruction, alpha)
+    IncrementalGraph.build(vs, FilteredDiskann.shuffled(lo, hi, seed + b), m, efConstruction, alpha)
   }
 
   def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,

@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.stream.IntStream
-import repro.graph.{BeamSearch, BruteForce, Candidate, FlatAdjacency, RngPrune, VecStore}
+import repro.graph.{BeamSearch, BruteForce, FlatAdjacency, RngPrune, SortedList, VecStore}
 
 /** Bottom-up materialization of all elemental graphs (Section 3.2.2).
   *
@@ -52,47 +52,42 @@ object ElementalGraphBuilder {
     */
   private def buildNode(vs: VecStore, layers: Array[Array[Int]], m: Int, ef: Int,
                         l: Int, r: Int, lay: Int, u: Int): Unit = {
-    val cands =
-      if (r - l + 1 <= bruteThreshold(m)) {
-        val all = new Array[Candidate](r - l)
-        var i = 0
-        var v = l
-        while (v <= r) {
-          if (v != u) { all(i) = Candidate(v, vs.dist2(u, v)); i += 1 }
-          v += 1
-        }
-        all
-      } else {
-        val mid = SegmentTree.mid(l, r)
-        val childAdj = layers(lay + 1)
-        val (siblingLo, siblingHi) =
-          if (u <= mid) (mid + 1, r) else (l, mid)
-        // 1. u's neighbors in its containing child's graph.
-        val own = FlatAdjacency.neighbors(childAdj, m, u)
-        // 2. Approximate NNs of u searched in the sibling child's graph.
-        val q = vs.vector(u)
-        val found =
-          if (siblingHi - siblingLo + 1 <= ef)
-            BruteForce.topK(vs, q, siblingLo, siblingHi, ef)
-          else {
-            val scratch = new Array[Int](m)
-            BeamSearch.search(
-              q, (i: Int) => vs.dist2(i, q),
-              entries = Seq(SegmentTree.mid(siblingLo, siblingHi)),
-              beam = ef, k = ef,
-              neighbors = (x: Int) => FlatAdjacency.copy(childAdj, m, x, scratch),
-            )
-          }
-        // No dedup needed: source 1 lies in u's child, source 2 in the sibling, each duplicate-free.
-        val both = new Array[Candidate](own.length + found.length)
-        var j = 0
-        while (j < own.length) {
-          both(j) = Candidate(own(j), vs.dist2(u, own(j)))
-          j += 1
-        }
-        System.arraycopy(found, 0, both, own.length, found.length)
-        both
+    val brute = r - l + 1 <= bruteThreshold(m)
+    val cands = new SortedList(if (brute) r - l else m + ef)
+    if (brute) {
+      var v = l
+      while (v <= r) {
+        if (v != u) cands.insert(vs.dist2(u, v), v)
+        v += 1
       }
+    } else {
+      val mid = SegmentTree.mid(l, r)
+      val childAdj = layers(lay + 1)
+      val (siblingLo, siblingHi) =
+        if (u <= mid) (mid + 1, r) else (l, mid)
+      // No dedup needed: source 1 lies in u's child, source 2 in the sibling, each duplicate-free.
+      // 1. u's neighbors in its containing child's graph, read off its slots.
+      var slot = u * m
+      while (slot < (u + 1) * m && childAdj(slot) >= 0) {
+        cands.insert(vs.dist2(u, childAdj(slot)), childAdj(slot))
+        slot += 1
+      }
+      // 2. Approximate NNs of u searched in the sibling child's graph.
+      val q = vs.vector(u)
+      val found =
+        if (siblingHi - siblingLo + 1 <= ef)
+          BruteForce.topK(vs, q, siblingLo, siblingHi, ef)
+        else {
+          val scratch = new Array[Int](m)
+          BeamSearch.search(
+            q, (i: Int) => vs.dist2(i, q),
+            entries = Seq(SegmentTree.mid(siblingLo, siblingHi)),
+            beam = ef, k = ef,
+            neighbors = (x: Int) => FlatAdjacency.copy(childAdj, m, x, scratch),
+          )
+        }
+      for (f <- found) cands.insert(f.dist, f.id)
+    }
     FlatAdjacency.write(layers(lay), m, u, RngPrune.prune(cands, (a, b) => vs.dist2(a, b), m))
   }
 

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{FlatAdjacency, VecStore}
+import repro.graph.{FlatAdjacency, SortedList, VecStore}
 
 /** Storage for all elemental graphs of the segment tree (Section 3.2).
   *
@@ -42,7 +42,7 @@ final class ElementalGraphs(
   /** Check the structural invariants of every layer over `vs`: each
     * neighbor of u lies in u's segment of that layer, with no self-loop;
     * neighbors ascend strictly by (distance to u, id), the order of
-    * `BruteForce.candidateOrdering`, so none repeats; the -1 padding is
+    * `SortedList.less`, so none repeats; the -1 padding is
     * contiguous. Throws `IllegalStateException` naming the first violation.
     */
   def validate(vs: VecStore): Unit = {
@@ -63,8 +63,8 @@ final class ElementalGraphs(
           if (v == u) fail(s"$at: self-loop")
           if (i > 0) {
             val p = a(base + i - 1)
-            val c = java.lang.Float.compare(vs.dist2(u, p), vs.dist2(u, v))
-            if (c > 0 || (c == 0 && p >= v)) fail(s"$at: $v not after $p in (distance, id) order")
+            if (!SortedList.less(vs.dist2(u, p), p, vs.dist2(u, v), v))
+              fail(s"$at: $v not after $p in (distance, id) order")
           }
         }
         i += 1

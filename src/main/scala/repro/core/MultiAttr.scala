@@ -33,6 +33,7 @@ object MultiAttr {
              stats: SearchStats = null): Array[Candidate] = {
     ir.checkQuery(q, L1, R1, k)
     require(0 <= L2 && L2 <= R2 && R2 < ir.n, s"bad second-attribute range [$L2,$R2] for n=${ir.n}")
+    require(attr2Rank.length == ir.n, s"second-attribute ranks for ${attr2Rank.length} objects, n=${ir.n}")
     def inRange2(i: Int): Boolean = { val a = attr2Rank(i); a >= L2 && a <= R2 }
 
     val visit: Int => Boolean = strategy match {

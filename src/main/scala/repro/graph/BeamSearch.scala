@@ -93,8 +93,8 @@ object BeamSearch {
       // With every node admitted and k <= beam, the admitted set is the beam.
       val results = if ((admit eq AdmitAll) && k <= beam) beamList else admitted
       // Only the first k admitted nodes are returned, and the list never
-      // steers the search. (At least one slot: insert reads the last one.)
-      if (results ne beamList) admitted.reset(math.max(k, 1))
+      // steers the search.
+      if (results ne beamList) admitted.reset(k)
 
       def offer(id: Int): Unit = {
         val d = dist(id)

@@ -1,7 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable
-
 /** Exact top-k search by linear scan — the Pre-filtering substrate and the
   * reference against which graph methods are validated in unit tests.
   *
@@ -10,25 +8,13 @@ import scala.collection.mutable
   */
 object BruteForce {
 
-  /** Candidate ordering: ascending (dist, id), distances by
-    * `java.lang.Float.compare` (the order `Ordering.by((c.dist, c.id))` gives,
-    * without a tuple per comparison).
-    */
-  val candidateOrdering: Ordering[Candidate] = new Ordering[Candidate] {
-    def compare(a: Candidate, b: Candidate): Int = {
-      val c = java.lang.Float.compare(a.dist, b.dist)
-      if (c != 0) c else Integer.compare(a.id, b.id)
-    }
-  }
-
   /** Exact top-k over ids in [lo, hi] (inclusive) that satisfy `pred`.
     * Returns candidates sorted ascending by (dist, id); size <= k.
     */
   def topK(vs: VecStore, q: Array[Float], lo: Int, hi: Int, k: Int,
            pred: Int => Boolean = _ => true): Array[Candidate] = {
     require(k >= 1, s"k must be >= 1, got $k")
-    val best = new SortedList
-    best.reset(k)
+    val best = new SortedList(k)
     var i = math.max(lo, 0)
     val end = math.min(hi, vs.n - 1)
     while (i <= end) {
@@ -43,11 +29,13 @@ object BruteForce {
               pred: Int => Boolean = _ => true): Array[Int] =
     topK(vs, q, lo, hi, k, pred).map(_.id)
 
-  /** Merge several candidate lists (each sorted asc) into global top-k. */
+  /** Merge per-part results into the global top-k, ascending by (dist, id).
+    * The parts must hold disjoint ids — partitions, buckets, canonical
+    * segments or rank blocks — since an id offered twice is kept twice.
+    */
   def mergeTopK(lists: Seq[Array[Candidate]], k: Int): Array[Candidate] = {
-    val seen = mutable.HashSet.empty[Int]
-    val all = mutable.ArrayBuffer.empty[Candidate]
-    for (l <- lists; c <- l) if (seen.add(c.id)) all += c
-    all.sorted(candidateOrdering).take(k).toArray
+    val best = new SortedList(k)
+    for (l <- lists; c <- l) best.insert(c.dist, c.id)
+    best.take(k)
   }
 }

@@ -70,9 +70,6 @@ final class Hnsw private (
     ep
   }
 
-  private def selectNeighbors(u: Int, cands: Array[Candidate], cap: Int): Array[Candidate] =
-    RngPrune.prune(cands.filter(_.id != u), (a, b) => vs.dist2(a, b), cap)
-
   private def insert(u: Int): Unit = {
     val lvl = math.min((-math.log(rnd.nextDouble()) * mL).toInt, 32)
     while (links.length <= lvl) links += Array.fill(size * cap(links.length))(-1)
@@ -80,12 +77,16 @@ final class Hnsw private (
     if (entryPoint < 0) { entryPoint = u; entryLevel = lvl; return }
 
     val q = vs.vector(u)
+    val interDist = (a: Int, b: Int) => vs.dist2(a, b)
+    val cands = new SortedList
     // Insert at each level from min(lvl, entryLevel) down to 0.
     var l = math.min(lvl, entryLevel)
     var eps: Seq[Int] = Seq(descend(q, lvl))
     while (l >= 0) {
-      val cands = searchLevel(q, eps, efConstruction, efConstruction, l)
-      val sel = selectNeighbors(u, cands, m)
+      val found = searchLevel(q, eps, efConstruction, efConstruction, l)
+      cands.reset(found.length)
+      for (f <- found if f.id != u) cands.insert(f.dist, f.id)
+      val sel = RngPrune.prune(cands, interDist, m)
       val a = links(l)
       val c = cap(l)
       FlatAdjacency.write(a, c, u - lo, sel)
@@ -93,13 +94,12 @@ final class Hnsw private (
       for (s <- sel) {
         val v = s.id
         if (!FlatAdjacency.append(a, c, v - lo, u)) {
-          val ids = FlatAdjacency.copy(a, c, v - lo, new Array[Int](c + 1))
-          ids(c) = u
-          FlatAdjacency.write(a, c, v - lo,
-            selectNeighbors(v, ids.map(x => Candidate(x, vs.dist2(v, x))), c))
+          cands.reset(c + 1)
+          for (x <- FlatAdjacency.neighbors(a, c, v - lo) :+ u) cands.insert(vs.dist2(v, x), x)
+          FlatAdjacency.write(a, c, v - lo, RngPrune.prune(cands, interDist, c))
         }
       }
-      eps = cands.map(_.id).toSeq
+      eps = found.map(_.id).toSeq
       l -= 1
     }
     if (lvl > entryLevel) { entryPoint = u; entryLevel = lvl }

@@ -65,9 +65,10 @@ final class IncrementalGraph(
   /** Insert one point; must not have been inserted before. */
   def insert(u: Int): Unit = {
     if (entryPoint < 0) { entryPoint = u; insertedOrder += u; return }
-    val q = vs.vector(u)
-    val cands = search(q, Seq(entryPoint), efConstruction, efConstruction)
-    val sel = RngPrune.prune(cands.filter(_.id != u), (a, b) => vs.dist2(a, b), m, alpha)
+    val found = search(vs.vector(u), Seq(entryPoint), efConstruction, efConstruction)
+    val cands = new SortedList(found.length)
+    for (f <- found if f.id != u) cands.insert(f.dist, f.id)
+    val sel = RngPrune.prune(cands, (a, b) => vs.dist2(a, b), m, alpha)
     insertedOrder += u
     sel.foreach(c => addEdge(u, c.id))
     // Reverse edges; a neighbor over m live edges re-prunes them.
@@ -76,8 +77,9 @@ final class IncrementalGraph(
       addEdge(c, u)
       val live = neighbors(c)
       if (live.length > m) {
-        val kept = RngPrune.prune(live.map(x => Candidate(x, vs.dist2(c, x))),
-          (a, b) => vs.dist2(a, b), m, alpha)
+        cands.reset(live.length)
+        live.foreach(x => cands.insert(vs.dist2(c, x), x))
+        val kept = RngPrune.prune(cands, (a, b) => vs.dist2(a, b), m, alpha)
         val a = log(c)
         var i = 0
         while (i < 3 * logLen(c)) {

@@ -1,7 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable
-
 /** The RNG pruning rule (Definition 2.1) and its α-generalization
   * (DiskANN's RobustPrune; α = 1 is exactly RNG pruning).
   *
@@ -12,33 +10,34 @@ import scala.collection.mutable
   */
 object RngPrune {
 
-  /** Prune `candidates` (must be distinct ids, each with its distance to u)
-    * down to at most `m` diversified neighbors. Returns kept candidates in
-    * ascending (dist, id) order.
+  /** Prune `candidates` (distinct ids, each with its distance to u) down to
+    * at most `m` diversified neighbors, reading the list front to back as
+    * DiskANN's RobustPrune and hnswlib's heuristic do. Returns the kept
+    * candidates in ascending (dist, id) order.
     *
     * `interDist(a, b)` supplies the distance between two candidates.
     */
-  def prune(
-      candidates: Array[Candidate],
+  private[repro] def prune(
+      candidates: SortedList,
       interDist: (Int, Int) => Float,
       m: Int,
       alpha: Float = 1.0f,
   ): Array[Candidate] = {
-    val sorted = candidates.sorted(BruteForce.candidateOrdering)
-    val kept = mutable.ArrayBuffer.empty[Candidate]
+    val kept = new Array[Candidate](math.min(m, candidates.size))
+    var n = 0
     var i = 0
-    while (i < sorted.length && kept.size < m) {
-      val c = sorted(i)
+    while (i < candidates.size && n < m) {
+      val c = candidates.id(i)
       var pruned = false
       var j = 0
-      while (!pruned && j < kept.size) {
-        if (alpha * interDist(kept(j).id, c.id) < c.dist) pruned = true
+      while (!pruned && j < n) {
+        if (alpha * interDist(kept(j).id, c) < candidates.dist(i)) pruned = true
         j += 1
       }
-      if (!pruned) kept += c
+      if (!pruned) { kept(n) = Candidate(c, candidates.dist(i)); n += 1 }
       i += 1
     }
-    kept.toArray
+    java.util.Arrays.copyOf(kept, n)
   }
 
   /** Exact directed RNG over ids [lo, hi] (inclusive), O(s³) — reference
@@ -56,8 +55,9 @@ object RngPrune {
         !ids.exists(w => w != u && w != v &&
           vs.dist2(u, w) < duv && vs.dist2(v, w) < duv)
       }
-      u -> kept.map(v => Candidate(v, vs.dist2(u, v)))
-        .sorted(BruteForce.candidateOrdering).map(_.id)
+      val order = new SortedList(kept.length)
+      kept.foreach(v => order.insert(vs.dist2(u, v), v))
+      u -> Array.tabulate(kept.length)(order.id)
     }.toMap
   }
 }

@@ -3,60 +3,68 @@ package repro.graph
 /** The best `cap` (distance, id) pairs offered since `reset`, ascending by
   * (distance, id), on parallel primitive arrays, each with an expanded
   * flag — DiskANN's candidate list (Subramanya et al., NeurIPS 2019). The
-  * one top-k structure of the repo: the beam and the admitted set of
-  * [[BeamSearch]], and the exact scan of [[BruteForce.topK]].
+  * one candidate set of the repo and the only code that knows its order:
+  * the beam and the admitted set of [[BeamSearch]], the exact scan and
+  * merge of [[BruteForce]], and every builder's input to [[RngPrune.prune]].
   *
   * `cursor` is the index of the first unexpanded entry (`size` if none);
   * only the beam search reads the flags.
   */
-private[graph] final class SortedList {
+private[repro] final class SortedList(capacity: Int = 1) {
   private var ds = new Array[Float](0)
   private var ids = new Array[Int](0)
   private var expanded = new Array[Boolean](0)
-  private var size = 0
+  private var len = 0
   private var cursor = 0
   private var cap = 0
+  reset(capacity)
 
-  /** Empties the list and bounds it to `capacity` (≥ 1) entries; the
-    * arrays grow to the largest capacity asked for so far.
+  /** Empties the list and bounds it to `capacity` entries (at least one:
+    * `insert` reads the last slot); the arrays grow to the largest capacity
+    * asked for so far.
     */
   def reset(capacity: Int): Unit = {
-    if (capacity > ds.length) {
-      ds = new Array[Float](capacity)
-      ids = new Array[Int](capacity)
-      expanded = new Array[Boolean](capacity)
+    cap = math.max(capacity, 1)
+    if (cap > ds.length) {
+      ds = new Array[Float](cap)
+      ids = new Array[Int](cap)
+      expanded = new Array[Boolean](cap)
     }
-    cap = capacity
-    size = 0
+    len = 0
     cursor = 0
   }
+
+  /** The number of entries, and the id and distance of the i-th best. */
+  def size: Int = len
+  def id(i: Int): Int = ids(i)
+  def dist(i: Int): Float = ds(i)
 
   /** Inserts an unexpanded (d, id) unless the list is full of better pairs;
     * an insert before the cursor moves the cursor back to it.
     */
   def insert(d: Float, id: Int): Unit =
-    if (size < cap || SortedList.less(d, id, ds(size - 1), ids(size - 1))) {
+    if (len < cap || SortedList.less(d, id, ds(len - 1), ids(len - 1))) {
       var lo = 0
-      var hi = size
+      var hi = len
       while (lo < hi) {
         val mid = (lo + hi) >>> 1
         if (SortedList.less(ds(mid), ids(mid), d, id)) lo = mid + 1 else hi = mid
       }
-      val moved = (if (size < cap) size else size - 1) - lo
+      val moved = (if (len < cap) len else len - 1) - lo
       System.arraycopy(ds, lo, ds, lo + 1, moved)
       System.arraycopy(ids, lo, ids, lo + 1, moved)
       System.arraycopy(expanded, lo, expanded, lo + 1, moved)
       ds(lo) = d
       ids(lo) = id
       expanded(lo) = false
-      if (size < cap) size += 1
+      if (len < cap) len += 1
       if (lo < cursor) cursor = lo
     }
 
   /** Moves the cursor onto the first unexpanded entry; false if none. */
   def hasUnexpanded: Boolean = {
-    while (cursor < size && expanded(cursor)) cursor += 1
-    cursor < size
+    while (cursor < len && expanded(cursor)) cursor += 1
+    cursor < len
   }
 
   /** Marks the entry at the cursor expanded and returns its id. */
@@ -67,7 +75,7 @@ private[graph] final class SortedList {
 
   /** The first min(k, size) entries as candidates, best first. */
   def take(k: Int): Array[Candidate] = {
-    val out = new Array[Candidate](math.max(0, math.min(k, size)))
+    val out = new Array[Candidate](math.max(0, math.min(k, len)))
     var i = 0
     while (i < out.length) {
       out(i) = Candidate(ids(i), ds(i))
@@ -77,10 +85,12 @@ private[graph] final class SortedList {
   }
 }
 
-private[graph] object SortedList {
+private[repro] object SortedList {
 
-  /** Ascending (distance, id) — the order of `BruteForce.candidateOrdering`. */
-  private def less(da: Float, ia: Int, db: Float, ib: Int): Boolean = {
+  /** The one candidate order of the repo: ascending distance by
+    * `java.lang.Float.compare` (-0 < +0, NaN last), ties by ascending id.
+    */
+  def less(da: Float, ia: Int, db: Float, ib: Int): Boolean = {
     val c = java.lang.Float.compare(da, db)
     c < 0 || (c == 0 && ia < ib)
   }

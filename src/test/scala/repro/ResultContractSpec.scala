@@ -3,7 +3,7 @@ package repro
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines._
 import repro.core.{BasicSearch, IRangeGraph, MultiAttr}
-import repro.graph.{BruteForce, Candidate, Hnsw}
+import repro.graph.{BruteForce, Candidate, Hnsw, SortedList}
 
 /** The result contract every method obeys: ids in range, distinct, sorted
   * ascending by (distance, id) with each distance equal to `vs.dist2(id, q)`,
@@ -44,7 +44,7 @@ class ResultContractSpec extends AnyFunSuite {
     assert(ids.distinct.length == ids.length, s"$what: repeated id in ${ids.mkString(",")}")
     for (c <- res) assert(c.dist == vs.dist2(c.id, q), s"$what: distance of ${c.id}")
     for (Array(a, b) <- res.sliding(2))
-      assert(BruteForce.candidateOrdering.lt(a, b), s"$what: $a before $b")
+      assert(SortedList.less(a.dist, a.id, b.dist, b.id), s"$what: $a before $b")
     val want = math.min(k, rangeSize)
     if (exact) assert(res.length == want, s"$what: ${res.length} results, want $want")
     else assert(res.length <= want, s"$what: ${res.length} results, at most $want")

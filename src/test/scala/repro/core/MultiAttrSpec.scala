@@ -126,4 +126,13 @@ class MultiAttrSpec extends AnyFunSuite {
       assert(e.getMessage.contains(what), e.getMessage)
     }
   }
+
+  test("second-attribute ranks of the wrong length are rejected under every strategy") {
+    for (strategy <- Seq(MultiAttr.PostFilter, MultiAttr.InFilter, MultiAttr.Probabilistic(7L));
+         ranks <- Seq(attr2Rank.take(n / 2), attr2Rank :+ 0)) {
+      val e = intercept[IllegalArgumentException](
+        MultiAttr.search(ir, ranks, queries(0), 0, n - 1, 0, n / 2 - 1, 10, 50, strategy))
+      assert(e.getMessage.contains("second-attribute ranks"), e.getMessage)
+    }
+  }
 }

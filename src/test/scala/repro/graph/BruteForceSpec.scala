@@ -59,11 +59,13 @@ class BruteForceSpec extends AnyFunSuite {
     }
   }
 
-  test("mergeTopK dedupes and globally sorts") {
-    val a = Array(Candidate(1, 1f), Candidate(2, 3f))
-    val b = Array(Candidate(2, 3f), Candidate(3, 2f))
+  test("mergeTopK merges disjoint lists in (dist, id) order, a distance tie broken by id") {
+    val a = Array(Candidate(1, 1f), Candidate(4, 2f), Candidate(2, 3f))
+    val b = Array(Candidate(3, 2f), Candidate(5, 4f))
     val got = BruteForce.mergeTopK(Seq(a, b), 10)
-    assert(got.map(_.id).toSeq == Seq(1, 3, 2))
+    assert(got.toSeq == Seq(Candidate(1, 1f), Candidate(3, 2f), Candidate(4, 2f),
+      Candidate(2, 3f), Candidate(5, 4f)))
+    assert(BruteForce.mergeTopK(Seq(b, a), 3).toSeq == got.take(3).toSeq)
   }
 
   test("mergeTopK truncates to k") {
@@ -71,7 +73,7 @@ class BruteForceSpec extends AnyFunSuite {
     assert(BruteForce.mergeTopK(Seq(a), 3).map(_.id).toSeq == Seq(0, 1, 2))
   }
 
-  test("candidateOrdering agrees with the tuple ordering on (dist, id)") {
+  test("SortedList.less agrees with the tuple ordering on (dist, id)") {
     val tuple = Ordering.by((c: Candidate) => (c.dist, c.id))
     val dists = Array(0.0f, -0.0f, Float.NaN, 1.0f, 1.0f, 2.5f, Float.PositiveInfinity, 1e-30f)
     val rnd = new java.util.Random(23)
@@ -80,8 +82,8 @@ class BruteForceSpec extends AnyFunSuite {
       else Candidate(rnd.nextInt(), rnd.nextFloat())
     for (_ <- 0 until 5000) {
       val a = pick(); val b = pick()
-      assert(math.signum(BruteForce.candidateOrdering.compare(a, b)) ==
-        math.signum(tuple.compare(a, b)), s"$a vs $b")
+      assert(SortedList.less(a.dist, a.id, b.dist, b.id) == tuple.lt(a, b), s"$a before $b")
+      assert(SortedList.less(b.dist, b.id, a.dist, a.id) == tuple.lt(b, a), s"$b before $a")
     }
   }
 }

@@ -5,10 +5,16 @@ import repro.TestData
 
 class RngPruneSpec extends AnyFunSuite {
 
+  /** The candidates of u among `ids`, offered in the order given. */
+  private def listFor(vs: VecStore, u: Int, ids: Seq[Int]): SortedList = {
+    val l = new SortedList(ids.length)
+    for (i <- ids if i != u) l.insert(vs.dist2(u, i), i)
+    l
+  }
+
   private def pruneFor(vs: VecStore, u: Int, ids: Seq[Int], m: Int,
                        alpha: Float = 1.0f): Array[Candidate] =
-    RngPrune.prune(ids.filter(_ != u).map(i => Candidate(i, vs.dist2(u, i))).toArray,
-      (a, b) => vs.dist2(a, b), m, alpha)
+    RngPrune.prune(listFor(vs, u, ids), (a, b) => vs.dist2(a, b), m, alpha)
 
   test("nearest candidate is always kept") {
     val vs = TestData.randomVs(50, 6, seed = 31)
@@ -84,7 +90,19 @@ class RngPruneSpec extends AnyFunSuite {
 
   test("empty candidate list yields empty result") {
     val vs = TestData.randomVs(5, 3, seed = 37)
-    assert(RngPrune.prune(Array.empty, (a, b) => vs.dist2(a, b), 4).isEmpty)
+    assert(pruneFor(vs, 0, Seq.empty, 4).isEmpty)
+  }
+
+  test("prune does not depend on the order in which candidates are offered") {
+    // Duplicated points give distance ties, so the id tie-break is exercised.
+    val base = TestData.randomVs(30, 4, seed = 40)
+    val vs = VecStore.fromRows((0 until 60).map(i => base.vector(i % 30)))
+    val rnd = new scala.util.Random(41)
+    for (u <- 0 until 10; alpha <- Seq(1.0f, 1.2f)) {
+      val want = pruneFor(vs, u, 0 until 60, m = 8, alpha).toSeq
+      for (ids <- Seq((0 until 60).reverse, rnd.shuffle((0 until 60).toVector)))
+        assert(pruneFor(vs, u, ids, m = 8, alpha).toSeq == want, s"node $u alpha $alpha")
+    }
   }
 
   test("exactRng edges are symmetric in the undirected sense of Definition 2.1") {
