@@ -30,12 +30,13 @@ object BruteForce {
     topK(vs, q, lo, hi, k, pred).map(_.id)
 
   /** Merge per-part results into the global top-k, ascending by (dist, id).
-    * The parts must hold disjoint ids — partitions, buckets, canonical
-    * segments or rank blocks — since an id offered twice is kept twice.
+    * A (dist, id) pair offered by several parts is kept once; the callers'
+    * parts — partitions, buckets, canonical segments or rank blocks — hold
+    * disjoint ids anyway.
     */
   def mergeTopK(lists: Seq[Array[Candidate]], k: Int): Array[Candidate] = {
     val best = new SortedList(k)
-    for (l <- lists; c <- l) best.insert(c.dist, c.id)
+    for (l <- lists; c <- l) if (!best.contains(c.dist, c.id)) best.insert(c.dist, c.id)
     best.take(k)
   }
 }

@@ -44,12 +44,7 @@ private[repro] final class SortedList(capacity: Int = 1) {
     */
   def insert(d: Float, id: Int): Unit =
     if (len < cap || SortedList.less(d, id, ds(len - 1), ids(len - 1))) {
-      var lo = 0
-      var hi = len
-      while (lo < hi) {
-        val mid = (lo + hi) >>> 1
-        if (SortedList.less(ds(mid), ids(mid), d, id)) lo = mid + 1 else hi = mid
-      }
+      val lo = rank(d, id)
       val moved = (if (len < cap) len else len - 1) - lo
       System.arraycopy(ds, lo, ds, lo + 1, moved)
       System.arraycopy(ids, lo, ids, lo + 1, moved)
@@ -60,6 +55,23 @@ private[repro] final class SortedList(capacity: Int = 1) {
       if (len < cap) len += 1
       if (lo < cursor) cursor = lo
     }
+
+  /** Whether the list holds the pair (d, id). */
+  def contains(d: Float, id: Int): Boolean = {
+    val i = rank(d, id)
+    i < len && ids(i) == id && java.lang.Float.compare(ds(i), d) == 0
+  }
+
+  /** The index of the first entry not before (d, id). */
+  private def rank(d: Float, id: Int): Int = {
+    var lo = 0
+    var hi = len
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (SortedList.less(ds(mid), ids(mid), d, id)) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
 
   /** Moves the cursor onto the first unexpanded entry; false if none. */
   def hasUnexpanded: Boolean = {

@@ -59,6 +59,13 @@ class BruteForceSpec extends AnyFunSuite {
     }
   }
 
+  test("mergeTopK dedupes and globally sorts") {
+    val a = Array(Candidate(1, 1f), Candidate(2, 3f))
+    val b = Array(Candidate(2, 3f), Candidate(3, 2f))
+    val got = BruteForce.mergeTopK(Seq(a, b), 10)
+    assert(got.map(_.id).toSeq == Seq(1, 3, 2))
+  }
+
   test("mergeTopK merges disjoint lists in (dist, id) order, a distance tie broken by id") {
     val a = Array(Candidate(1, 1f), Candidate(4, 2f), Candidate(2, 3f))
     val b = Array(Candidate(3, 2f), Candidate(5, 4f))
