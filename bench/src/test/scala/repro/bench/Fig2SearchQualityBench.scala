@@ -15,32 +15,28 @@ class Fig2SearchQualityBench extends repro.SparkSpec {
   test("Figure 2 — single-attribute RFANN search quality") {
     val res = Tables.fig2(BenchContext.datasets.map(_.name))
     println(res.text)
-    val cells = res.cells
-
-    def cell(d: String, w: String, m: String): Tables.Fig2Cell =
-      cells.find(c => c.dataset == d && c.workload == w && c.method == m).get
 
     for (d <- BenchContext.datasets.map(_.name); (w, _) <- BenchContext.workloadSpecs) {
       // iRangeGraph reaches 0.9 recall everywhere (paper observation (1)/(3)).
-      assert(cell(d, w, "iRangeGraph").qpsAt09.isDefined,
+      assert(res.cell(d, w, "iRangeGraph").qpsAt09.isDefined,
         s"iRangeGraph failed to reach 0.9 recall on $d/$w")
       // Pre-filtering is exact by construction.
-      assert(cell(d, w, "Pre-filtering").maxRecall >= 0.999)
+      assert(res.cell(d, w, "Pre-filtering").maxRecall >= 0.999)
     }
 
     // The label-filtering adaptation cannot serve the mixed workload's
     // short ranges (paper observation (2)) — structural, noise-free.
     for (d <- BenchContext.datasets.map(_.name))
-      assert(cell(d, "mixed", "FilteredVamana").maxRecall < 0.9,
+      assert(res.cell(d, "mixed", "FilteredVamana").maxRecall < 0.9,
         s"FilteredVamana unexpectedly fine on $d/mixed")
 
     // On the mixed workload iRangeGraph outperforms every competing graph
     // method (paper: 2x–5x over the best baseline). Host CPU steal swings
     // single-run qps ~2x, so assert with that slack and report the ratios.
     for (d <- BenchContext.datasets.map(_.name)) {
-      val ir = cell(d, "mixed", "iRangeGraph").qpsAt09.get
+      val ir = res.cell(d, "mixed", "iRangeGraph").qpsAt09.get
       for (m <- Seq("2DSegmentGraph", "FilteredVamana", "StitchedVamana", "Milvus", "SuperPostfiltering")) {
-        val other = cell(d, "mixed", m).qpsAt09.getOrElse(0.0)
+        val other = res.cell(d, "mixed", m).qpsAt09.getOrElse(0.0)
         val ratio = if (other == 0.0) "inf (baseline fails 0.9 recall)"
                     else f"${ir / other}%.1fx"
         println(s"[fig2] $d/mixed: iRangeGraph/$m qps@0.9 = $ratio")

@@ -10,13 +10,11 @@ class Fig3AblationBench extends repro.SparkSpec {
   test("Figure 3 — ablation: layer skipping and on-the-fly construction") {
     val res = Tables.fig3(BenchContext.datasets.map(_.name))
     println(res.text)
-    def cell(d: String, v: String): Tables.Fig3Cell =
-      res.cells.find(c => c.dataset == d && c.variant == v).get
 
     for (d <- BenchContext.datasets.map(_.name)) {
-      val full = cell(d, "iRangeGraph").qpsAt09
-      val noSkip = cell(d, "iRangeGraph-").qpsAt09
-      val basic = cell(d, "BasicSearch").qpsAt09
+      val full = res.cell(d, "mixed", "iRangeGraph").qpsAt09
+      val noSkip = res.cell(d, "mixed", "iRangeGraph-").qpsAt09
+      val basic = res.cell(d, "mixed", "BasicSearch").qpsAt09
       assert(full.isDefined, s"iRangeGraph failed 0.9 recall on $d")
       assert(noSkip.isDefined, s"iRangeGraph- failed 0.9 recall on $d")
       println(f"[fig3] $d: skip/no-skip qps@0.9 = ${full.get / noSkip.get}%.2fx, " +

@@ -9,12 +9,10 @@ class Fig4OracleGapBench extends repro.SparkSpec {
   test("Figure 4 — iRangeGraph vs Oracle-HNSW") {
     val res = Tables.fig4(BenchContext.datasets.map(_.name))
     println(res.text)
-    def cell(d: String, m: String): Tables.Fig4Cell =
-      res.cells.find(c => c.dataset == d && c.method == m).get
 
     for (d <- BenchContext.datasets.map(_.name)) {
-      val ir = cell(d, "iRangeGraph")
-      val or = cell(d, "Oracle-HNSW")
+      val ir = res.cell(d, "shared-mixed", "iRangeGraph")
+      val or = res.cell(d, "shared-mixed", "Oracle-HNSW")
       assert(ir.qpsAt09.isDefined, s"iRangeGraph failed 0.9 recall on $d")
       assert(or.qpsAt09.isDefined, s"Oracle-HNSW failed 0.9 recall on $d")
       assert(or.qpsAt09.get <= ir.qpsAt09.get * 3.0,

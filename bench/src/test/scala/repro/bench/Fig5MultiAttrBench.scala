@@ -11,13 +11,11 @@ class Fig5MultiAttrBench extends repro.SparkSpec {
   test("Figure 5 — multi-attribute RFANN") {
     val res = Tables.fig5()
     println(res.text)
-    def cell(d: String, m: String): Tables.Fig5Cell =
-      res.cells.find(c => c.dataset == d && c.method == m).get
 
     for (d <- Seq("ytrgb-lite", "ytaudio-lite")) {
-      val ir = cell(d, "iRangeGraph")
-      val irPlus = cell(d, "iRangeGraph+")
-      val pre = cell(d, "Pre-filtering")
+      val ir = res.cell(d, "both-2^-2", "iRangeGraph")
+      val irPlus = res.cell(d, "both-2^-2", "iRangeGraph+")
+      val pre = res.cell(d, "both-2^-2", "Pre-filtering")
       assert(ir.qpsAt09.isDefined, s"iRangeGraph failed 0.9 recall on $d")
       assert(irPlus.qpsAt09.isDefined, s"iRangeGraph+ failed 0.9 recall on $d")
       assert(pre.maxRecall >= 0.999)

@@ -10,18 +10,17 @@ class Table2MemoryBench extends repro.SparkSpec {
   test("Table 2 — memory footprint") {
     val res = Tables.table2()
     println(res.text)
-    val byMethod = res.rows.map(r => r.method -> r.bytesPerDataset).toMap
-    val raw = byMethod("Raw Vectors")
-    val irg = byMethod("iRangeGraph")
-    val superPost = byMethod("SuperPostfiltering")
-    val pre = byMethod("Pre-filtering")
-    val milvus = byMethod("Milvus")
+    val raw = res.row("Raw Vectors")
+    val irg = res.row("iRangeGraph")
+    val superPost = res.row("SuperPostfiltering")
+    val pre = res.row("Pre-filtering")
+    val milvus = res.row("Milvus")
 
     // Pre-filtering stores no index: footprint == raw vectors.
     assert(pre == raw)
     // Every graph index adds memory on top of the vectors.
-    for (mn <- Tables.methodNames if mn != "Pre-filtering")
-      res.datasets.indices.foreach(i => assert(byMethod(mn)(i) > raw(i), s"$mn on ${res.datasets(i)}"))
+    for (m <- BenchContext.suite(BenchContext.datasets.head).methods if m.name != "Pre-filtering")
+      res.datasets.indices.foreach(i => assert(res.row(m.name)(i) > raw(i), s"${m.name} on ${res.datasets(i)}"))
     // SuperPostfiltering's overlapping windows cost more than iRangeGraph's
     // one-appearance-per-layer elemental graphs (paper's Table 2 ordering).
     res.datasets.indices.foreach { i =>

@@ -11,11 +11,10 @@ class Table3IndexingTimeBench extends repro.SparkSpec {
   test("Table 3 — indexing time") {
     val res = Tables.table3()
     println(res.text)
-    val byMethod = res.rows.map(r => r.method -> r.secondsPerDataset).toMap
-    val irg = byMethod("iRangeGraph")
-    val hnsw = byMethod("HNSW-on-all (reference)")
+    val irg = res.row("iRangeGraph")
+    val hnsw = res.row("HNSW-on-all (reference)")
 
-    assert(byMethod("Pre-filtering").forall(_ == 0.0))
+    assert(res.row("Pre-filtering").forall(_ == 0.0))
     // Theorem 3.1: the entire multi-layer index costs at most a
     // sub-logarithmic factor over one whole-set HNSW (paper: <= 3x
     // empirically). The bench host is a microVM whose CPU steal leaks even
@@ -29,7 +28,7 @@ class Table3IndexingTimeBench extends repro.SparkSpec {
         s"iRangeGraph ${irg(i)}s vs HNSW ${hnsw(i)}s on ${res.datasets(i)}")
     }
     // Every timed build actually took measurable time.
-    for (mn <- Tables.methodNames if mn != "Pre-filtering")
-      assert(byMethod(mn).forall(_ > 0.0))
+    for (m <- BenchContext.suite(BenchContext.datasets.head).methods if m.name != "Pre-filtering")
+      assert(res.row(m.name).forall(_ > 0.0))
   }
 }

@@ -19,6 +19,7 @@ final class OracleHnsw(
 
   def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
              stats: SearchStats = null): Array[Candidate] = {
+    vs.checkQuery(q, L, R, k)
     val h = indexes.getOrElse((L, R),
       throw new IllegalArgumentException(s"no oracle index for [$L,$R]"))
     h.search(q, k, beam, stats = stats)

@@ -9,8 +9,10 @@ import repro.graph.{Candidate, Hnsw, SearchStats}
 object PostFiltering {
 
   def search(h: Hnsw, q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
-             stats: SearchStats = null): Array[Candidate] =
+             stats: SearchStats = null): Array[Candidate] = {
+    h.vs.checkQuery(q, L, R, k)
     h.search(q, k, beam, admit = i => i >= L && i <= R, stats = stats)
+  }
 }
 
 /** In-filtering (Section 2.2): the graph search traverses only in-range
@@ -23,6 +25,7 @@ object InFiltering {
 
   def search(h: Hnsw, q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
              stats: SearchStats = null): Array[Candidate] = {
+    h.vs.checkQuery(q, L, R, k)
     val entry = L + (R - L) / 2
     h.searchBase(q, Seq(entry), k, beam,
       visit = i => i >= L && i <= R,

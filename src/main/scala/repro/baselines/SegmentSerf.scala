@@ -41,6 +41,7 @@ final class SegmentSerf(
   def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
              stats: SearchStats = null,
              extraAdmit: Int => Boolean = _ => true): Array[Candidate] = {
+    vs.checkQuery(q, L, R, k)
     // Largest recorded left endpoint <= L.
     var j = lefts.length - 1
     while (lefts(j) > L) j -= 1

@@ -58,15 +58,4 @@ object BenchContext {
       val gt = GroundTruth.computeSpark(spark, ds.vs, ds.queries, ranges, k)
       PreparedWorkload(wname, ranges, gt)
     })
-
-  /** Sweep one method over one prepared workload. */
-  def sweep(ds: RfDataset, method: BuiltMethod, w: PreparedWorkload,
-            beams: Seq[Int] = BenchUtil.defaultBeams): Seq[BenchUtil.CurvePoint] = {
-    val qs = ds.queries
-    val search = (qid: Int, beam: Int) => {
-      val (l, r) = w.ranges(qid)
-      method.searchFn(qs(qid), l, r, k, beam)
-    }
-    BenchUtil.sweep(search, nQueries, w.gt, beams)
-  }
 }

@@ -14,6 +14,7 @@ object BasicSearch {
   def search(vs: VecStore, graphs: ElementalGraphs,
              q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
              stats: SearchStats = null): Array[Candidate] = {
+    vs.checkQuery(q, L, R, k)
     val m = graphs.m
     val pieces = SegmentTree.decompose(graphs.n, L, R).map { case (lay, l, r) =>
       if (l == r) {

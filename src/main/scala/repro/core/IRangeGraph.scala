@@ -21,7 +21,7 @@ final class IRangeGraph(val vs: VecStore, val graphs: ElementalGraphs) {
   def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
              skipLayers: Boolean = true,
              stats: SearchStats = null): Array[Candidate] = {
-    checkQuery(q, L, R, k)
+    vs.checkQuery(q, L, R, k)
     dedicatedSearch(q, L, R, k, beam, skipLayers, _ => true, BeamSearch.AdmitAll, stats)
   }
 
@@ -43,19 +43,6 @@ final class IRangeGraph(val vs: VecStore, val graphs: ElementalGraphs) {
       admit = admit,
       stats = stats,
     )
-  }
-
-  /** Rejects a query that would otherwise throw inside `VecStore.dist2`,
-    * silently use a prefix of `q`, or (with a NaN or infinite value, which
-    * makes every distance NaN or infinite) return in-range ids ranked by id.
-    */
-  private[core] def checkQuery(q: Array[Float], L: Int, R: Int, k: Int): Unit = {
-    require(q.length == vs.dim, s"query dimension ${q.length} != index dimension ${vs.dim}")
-    var i = 0
-    while (i < q.length && java.lang.Float.isFinite(q(i))) i += 1
-    require(i == q.length, s"query value q($i) = ${q(i)} is not finite")
-    require(0 <= L && L <= R && R < n, s"bad range [$L,$R] for n=$n")
-    require(k >= 1, s"k must be >= 1, got $k")
   }
 
   /** Index bytes (elemental graph edges only; vectors accounted separately,

@@ -31,7 +31,7 @@ object MultiAttr {
              q: Array[Float], L1: Int, R1: Int, L2: Int, R2: Int,
              k: Int, beam: Int, strategy: Strategy,
              stats: SearchStats = null): Array[Candidate] = {
-    ir.checkQuery(q, L1, R1, k)
+    ir.vs.checkQuery(q, L1, R1, k)
     require(0 <= L2 && L2 <= R2 && R2 < ir.n, s"bad second-attribute range [$L2,$R2] for n=${ir.n}")
     require(attr2Rank.length == ir.n, s"second-attribute ranks for ${attr2Rank.length} objects, n=${ir.n}")
     def inRange2(i: Int): Boolean = { val a = attr2Rank(i); a >= L2 && a <= R2 }

@@ -45,6 +45,21 @@ final class VecStore(val dim: Int, val n: Int, val data: Array[Float]) extends S
     s
   }
 
+  /** The one check of a range query, made first by every public search:
+    * rejects a query that would otherwise throw inside `dist2`, silently use
+    * a prefix of `q`, or (with a NaN or infinite value, which makes every
+    * distance NaN or infinite) return in-range ids ranked by id; and an empty
+    * or out-of-bounds range [L, R] or k < 1.
+    */
+  def checkQuery(q: Array[Float], L: Int, R: Int, k: Int): Unit = {
+    require(q.length == dim, s"query dimension ${q.length} != index dimension $dim")
+    var i = 0
+    while (i < q.length && java.lang.Float.isFinite(q(i))) i += 1
+    require(i == q.length, s"query value q($i) = ${q(i)} is not finite")
+    require(0 <= L && L <= R && R < n, s"bad range [$L,$R] for n=$n")
+    require(k >= 1, s"k must be >= 1, got $k")
+  }
+
   /** New store over ids [from, until) with ids remapped to 0-based. */
   def slice(from: Int, until: Int): VecStore = {
     require(0 <= from && from <= until && until <= n, s"bad slice [$from,$until) of $n")

@@ -4,7 +4,7 @@ import java.util.zip.CRC32
 import repro.baselines.{FilteredVamana, InFiltering, MilvusLike, OracleHnsw, PostFiltering, SegmentSerf,
   StitchedVamana, SuperPostFiltering}
 import repro.core.{BasicSearch, DistributedBuilder, EdgeSelection, ElementalGraphBuilder, IRangeGraph, MultiAttr}
-import repro.graph.{BruteForce, Candidate, Hnsw}
+import repro.graph.{BruteForce, Candidate, Hnsw, VecStore}
 
 /** Golden checksums: CRC-32 of every elemental-graph layer and of every
   * method's result ids on one fixed dataset and query set. Refactors of the
@@ -154,6 +154,27 @@ class GoldenChecksumSpec extends SparkSpec {
   private lazy val oracle = OracleHnsw.build(vs, ranges, m, ef)
   golden("OracleHnsw", "77a867fc") { qi =>
     val (l, r) = ranges(qi); oracle.search(queries(qi), l, r, k, beam)
+  }
+
+  // Every vector stored twice (ids 2i and 2i + 1): each distance ties with
+  // the copy's, so these checks see the (distance, id) tie-break.
+  private val tieVs = {
+    val half = TestData.randomVs(n / 2, 24, seed = 195)
+    VecStore.fromRows(IndexedSeq.tabulate(n)(i => half.vector(i / 2)))
+  }
+  private lazy val tieLocal = ElementalGraphBuilder.build(tieVs, m, ef)
+  private lazy val tieIr = new IRangeGraph(tieVs, tieLocal)
+
+  test("local build layers on duplicated vectors match the golden checksums") {
+    assert(crcsOf(tieLocal.layers) == Seq(
+      "984c7a24", "f771f710", "61b71734", "ab305051", "ff9f8480", "7bd99684",
+      "80030646", "213f8345", "8c7c574d", "0a3c1f96", "d3817b30"))
+  }
+  golden("exact top-k on duplicated vectors", "817184a7") { qi =>
+    val (l, r) = ranges(qi); BruteForce.topK(tieVs, queries(qi), l, r, k)
+  }
+  golden("IRangeGraph on duplicated vectors", "3de6993a") { qi =>
+    val (l, r) = ranges(qi); tieIr.search(queries(qi), l, r, k, beam)
   }
 
   // Adjacency of the baseline graphs: each node's list, terminated by -1.

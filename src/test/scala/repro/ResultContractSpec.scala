@@ -59,29 +59,51 @@ class ResultContractSpec extends AnyFunSuite {
   private lazy val sVamana = StitchedVamana.build(vs, buckets = 8, m = m, efConstruction = ef)
   private lazy val oracle = OracleHnsw.build(vs, ranges.toArray, m, ef)
 
-  private val methods = Seq[(String, Boolean, (Array[Float], Int, Int) => Array[Candidate])](
-    ("BruteForce.topK", true, (q, l, r) => BruteForce.topK(vs, q, l, r, k)),
-    ("PreFiltering", true, (q, l, r) => PreFiltering.search(vs, q, l, r, k)),
-    ("IRangeGraph (skipLayers = true)", false, (q, l, r) => ir.search(q, l, r, k, beam)),
+  private val methods = Seq[(String, Boolean, (Array[Float], Int, Int, Int) => Array[Candidate])](
+    ("BruteForce.topK", true, (q, l, r, k) => BruteForce.topK(vs, q, l, r, k)),
+    ("PreFiltering", true, (q, l, r, k) => PreFiltering.search(vs, q, l, r, k)),
+    ("IRangeGraph (skipLayers = true)", false, (q, l, r, k) => ir.search(q, l, r, k, beam)),
     ("IRangeGraph (skipLayers = false)", false,
-      (q, l, r) => ir.search(q, l, r, k, beam, skipLayers = false)),
-    ("BasicSearch", false, (q, l, r) => BasicSearch.search(vs, ir.graphs, q, l, r, k, beam)),
-    ("PostFiltering", false, (q, l, r) => PostFiltering.search(hnsw, q, l, r, k, beam)),
-    ("InFiltering", false, (q, l, r) => InFiltering.search(hnsw, q, l, r, k, beam)),
-    ("MilvusLike", false, (q, l, r) => milvus.search(q, l, r, k, beam)),
-    ("SuperPostFiltering", false, (q, l, r) => superPost.search(q, l, r, k, beam)),
-    ("SegmentSerf", false, (q, l, r) => serf.search(q, l, r, k, beam)),
-    ("FilteredVamana", false, (q, l, r) => fVamana.search(q, l, r, k, beam)),
-    ("StitchedVamana", false, (q, l, r) => sVamana.search(q, l, r, k, beam)),
-    ("OracleHnsw", false, (q, l, r) => oracle.search(q, l, r, k, beam)),
+      (q, l, r, k) => ir.search(q, l, r, k, beam, skipLayers = false)),
+    ("BasicSearch", false, (q, l, r, k) => BasicSearch.search(vs, ir.graphs, q, l, r, k, beam)),
+    ("PostFiltering", false, (q, l, r, k) => PostFiltering.search(hnsw, q, l, r, k, beam)),
+    ("InFiltering", false, (q, l, r, k) => InFiltering.search(hnsw, q, l, r, k, beam)),
+    ("MilvusLike", false, (q, l, r, k) => milvus.search(q, l, r, k, beam)),
+    ("SuperPostFiltering", false, (q, l, r, k) => superPost.search(q, l, r, k, beam)),
+    ("SegmentSerf", false, (q, l, r, k) => serf.search(q, l, r, k, beam)),
+    ("FilteredVamana", false, (q, l, r, k) => fVamana.search(q, l, r, k, beam)),
+    ("StitchedVamana", false, (q, l, r, k) => sVamana.search(q, l, r, k, beam)),
+    ("OracleHnsw", false, (q, l, r, k) => oracle.search(q, l, r, k, beam)),
   )
 
   for ((name, exact, search) <- methods)
     test(s"$name obeys the result contract") {
       for ((l, r) <- ranges; (q, qi) <- queries.zipWithIndex)
         checkContract(s"[$l,$r] query $qi", q, i => i >= l && i <= r, r - l + 1, exact,
-          search(q, l, r))
+          search(q, l, r, k))
     }
+
+  /** Every public search rejects a malformed query: k = 0 (on a short and
+    * on the full range, which take different paths in Milvus), a wrong
+    * dimension, a NaN value, L > R and R = n.
+    */
+  private def rejectsMalformed(search: (Array[Float], Int, Int, Int) => Array[Candidate]): Unit = {
+    val q = queries(0)
+    val nan = q.clone()
+    nan(3) = Float.NaN
+    for ((what, run) <- Seq[(String, () => Array[Candidate])](
+           ("k = 0 on [5,9]", () => search(q, 5, 9, 0)),
+           ("k = 0 on the full range", () => search(q, 0, n - 1, 0)),
+           ("wrong dimension", () => search(q.take(q.length - 1), 0, n - 1, k)),
+           ("NaN value", () => search(nan, 0, n - 1, k)),
+           ("L > R", () => search(q, 10, 9, k)),
+           ("R = n", () => search(q, 0, n, k))))
+      withClue(what)(intercept[IllegalArgumentException](run()))
+  }
+
+  // BruteForce.topK is the scan under the exact methods, not a public search.
+  for ((name, _, search) <- methods if name != "BruteForce.topK")
+    test(s"$name rejects a malformed query")(rejectsMalformed(search))
 
   for ((label, strategy) <- Seq[(String, Int => MultiAttr.Strategy)](
          ("PostFilter", _ => MultiAttr.PostFilter),
@@ -94,4 +116,12 @@ class ResultContractSpec extends AnyFunSuite {
           MultiAttr.search(ir, attr2Rank, q, l, r, l2, r2, k, beam, strategy(qi)))
       }
     }
+
+  test("MultiAttr rejects a malformed query with every strategy") {
+    for (strategy <- Seq(MultiAttr.PostFilter, MultiAttr.InFilter, MultiAttr.Probabilistic(7L))) {
+      rejectsMalformed((q, l, r, k) => MultiAttr.search(ir, attr2Rank, q, l, r, 0, n - 1, k, beam, strategy))
+      withClue("L2 > R2")(intercept[IllegalArgumentException](
+        MultiAttr.search(ir, attr2Rank, queries(0), 0, n - 1, 10, 9, k, beam, strategy)))
+    }
+  }
 }
