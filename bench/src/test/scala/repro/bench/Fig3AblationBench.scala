@@ -1,17 +1,24 @@
 package repro.bench
 
+import repro.core.BasicSearch
+import repro.graph.SearchStats
+
 /** Reproduces Figure 3 (ablation). Asserts the paper's ordering at 0.9
   * recall on the mixed workload: iRangeGraph >= iRangeGraph⁻ (layer-skip
   * speedup) and iRangeGraph > BasicSearch (2–4x in the paper; we require a
-  * clear win).
+  * clear win). The last comparison is also asserted on a noise-free
+  * counter: distance computations per query at one fixed beam.
   */
 class Fig3AblationBench extends repro.SparkSpec {
+
+  private val CounterBeam = 20
 
   test("Figure 3 — ablation: layer skipping and on-the-fly construction") {
     val res = Tables.fig3(BenchContext.datasets.map(_.name))
     println(res.text)
 
-    for (d <- BenchContext.datasets.map(_.name)) {
+    for (ds <- BenchContext.datasets) {
+      val d = ds.name
       val full = res.cell(d, "mixed", "iRangeGraph").qpsAt09
       val noSkip = res.cell(d, "mixed", "iRangeGraph-").qpsAt09
       val basic = res.cell(d, "mixed", "BasicSearch").qpsAt09
@@ -28,6 +35,20 @@ class Fig3AblationBench extends repro.SparkSpec {
         assert(full.get >= b * 0.7,
           s"$d: BasicSearch unexpectedly faster (${b} vs ${full.get})")
       }
+      // The same claim on a noise-free counter: distances per query at one beam.
+      val irg = BenchContext.suite(ds).irg
+      val w = BenchContext.workload(ds, "mixed")
+      val (irgStats, basicStats) = (new SearchStats, new SearchStats)
+      for (((l, r), qid) <- w.ranges.zipWithIndex) {
+        irg.search(ds.queries(qid), l, r, BenchContext.k, CounterBeam, stats = irgStats)
+        BasicSearch.search(ds.vs, irg.graphs, ds.queries(qid), l, r, BenchContext.k, CounterBeam,
+          stats = basicStats)
+      }
+      val nq = w.ranges.length.toDouble
+      val (irgDist, basicDist) = (irgStats.distComputations / nq, basicStats.distComputations / nq)
+      println(f"[fig3] $d: distances/query at beam $CounterBeam: iRangeGraph $irgDist%.1f, " +
+        f"BasicSearch $basicDist%.1f")
+      assert(irgDist < basicDist, s"$d: iRangeGraph $irgDist vs BasicSearch $basicDist distances/query")
     }
   }
 }

@@ -43,8 +43,8 @@ final class FilteredVamana(
     val buckets: Int,
     m: Int,
     efConstruction: Int,
-    alpha: Float,
-    seed: Long,
+    alpha: Float = 1.2f,
+    seed: Long = 19L,
 ) {
   val graph: IncrementalGraph =
     IncrementalGraph.build(vs, FilteredDiskann.shuffled(0, vs.n - 1, seed), m, efConstruction, alpha)
@@ -68,12 +68,6 @@ final class FilteredVamana(
   def sizeBytes: Long = graph.liveEdges * 4L
 }
 
-object FilteredVamana {
-  def build(vs: VecStore, buckets: Int, m: Int, efConstruction: Int,
-            alpha: Float = 1.2f, seed: Long = 19L): FilteredVamana =
-    new FilteredVamana(vs, buckets, m, efConstruction, alpha, seed)
-}
-
 /** StitchedVamana: an independent Vamana graph per bucket, stitched into one
   * index (single-label points make the stitched graph block-diagonal; the
   * filtered search walks each overlapped bucket from its own entry).
@@ -83,8 +77,8 @@ final class StitchedVamana(
     val buckets: Int,
     m: Int,
     efConstruction: Int,
-    alpha: Float,
-    seed: Long,
+    alpha: Float = 1.2f,
+    seed: Long = 23L,
 ) {
   private val bounds = FilteredDiskann.bucketBounds(vs.n, buckets)
   val graphs: Array[IncrementalGraph] = bounds.zipWithIndex.map { case ((lo, hi), b) =>
@@ -106,10 +100,4 @@ final class StitchedVamana(
 
   /** Index bytes: 4 per live neighbor id (paper-style accounting). */
   def sizeBytes: Long = graphs.map(_.liveEdges * 4L).sum
-}
-
-object StitchedVamana {
-  def build(vs: VecStore, buckets: Int, m: Int, efConstruction: Int,
-            alpha: Float = 1.2f, seed: Long = 23L): StitchedVamana =
-    new StitchedVamana(vs, buckets, m, efConstruction, alpha, seed)
 }

@@ -47,8 +47,3 @@ final class MilvusLike(
 
   def sizeBytes: Long = indexes.map(_.sizeBytes).sum
 }
-
-object MilvusLike {
-  def build(vs: VecStore, parts: Int, m: Int, efConstruction: Int): MilvusLike =
-    new MilvusLike(vs, parts, m, efConstruction)
-}

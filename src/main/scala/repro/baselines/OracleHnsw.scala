@@ -27,8 +27,3 @@ final class OracleHnsw(
 
   def sizeBytes: Long = indexes.valuesIterator.map(_.sizeBytes).sum
 }
-
-object OracleHnsw {
-  def build(vs: VecStore, ranges: Array[(Int, Int)], m: Int, efConstruction: Int): OracleHnsw =
-    new OracleHnsw(vs, ranges, m, efConstruction)
-}

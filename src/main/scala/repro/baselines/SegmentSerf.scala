@@ -20,7 +20,8 @@ import repro.graph.{Candidate, IncrementalGraph, SearchStats, VecStore}
   * range is much smaller than its covering suffix prefix (small/mixed
   * fractions), most visited nodes are out-of-range and recall collapses —
   * the paper's reported failure mode of 2DSegmentGraph; half-bounded and
-  * large ranges stay near-exact.
+  * large ranges stay near-exact. grid = 4 mirrors MaxLeap's aggressive
+  * compression.
   */
 final class SegmentSerf(
     val vs: VecStore,
@@ -57,10 +58,4 @@ final class SegmentSerf(
     * far below O(n·m) per distinct range.
     */
   def sizeBytes: Long = graphs.map(_.storedEdges * 12L).sum
-}
-
-object SegmentSerf {
-  /** grid = 4 mirrors MaxLeap's aggressive compression. */
-  def build(vs: VecStore, grid: Int, m: Int, efConstruction: Int): SegmentSerf =
-    new SegmentSerf(vs, grid, m, efConstruction)
 }

@@ -11,14 +11,15 @@ import scala.collection.mutable
   * window's index, so up to (2β − 1)·s of the visited objects can be
   * out-of-range — the inherent Post-filtering issue the paper contrasts
   * against. Memory is ~2n indexed points per level, roughly 2× iRangeGraph's
-  * n per layer, matching Table 2's ordering.
+  * n per layer, matching Table 2's ordering. The default β = 2 is the
+  * paper's recommended parameter.
   */
 final class SuperPostFiltering(
     val vs: VecStore,
     m: Int,
     efConstruction: Int,
-    val beta: Int,
-    minWindow: Int,
+    val beta: Int = 2,
+    minWindow: Int = 64,
 ) {
   /** (lo, hi, index) per window, all levels. */
   val windows: Array[(Int, Int, Hnsw)] = {
@@ -56,11 +57,4 @@ final class SuperPostFiltering(
   }
 
   def sizeBytes: Long = windows.map(_._3.sizeBytes).sum
-}
-
-object SuperPostFiltering {
-  /** Recommended parameters from the paper: β = 2. */
-  def build(vs: VecStore, m: Int, efConstruction: Int, beta: Int = 2,
-            minWindow: Int = 64): SuperPostFiltering =
-    new SuperPostFiltering(vs, m, efConstruction, beta, minWindow)
 }

@@ -62,11 +62,11 @@ object MethodSuite {
     irgGraphs.validate(vs)
 
     val (_, tHnsw) = cpuSeconds(Hnsw.buildAll(vs, M, EF))
-    val (milvus, tMilvus) = cpuSeconds(MilvusLike.build(vs, MilvusParts, M, EF))
-    val (superPost, tSuper) = cpuSeconds(SuperPostFiltering.build(vs, M, EF))
-    val (serf, tSerf) = cpuSeconds(SegmentSerf.build(vs, SerfGrid, M, EF))
-    val (fVamana, tFv) = cpuSeconds(FilteredVamana.build(vs, VamanaBuckets, M, EF))
-    val (sVamana, tSv) = cpuSeconds(StitchedVamana.build(vs, VamanaBuckets, M, EF))
+    val (milvus, tMilvus) = cpuSeconds(new MilvusLike(vs, MilvusParts, M, EF))
+    val (superPost, tSuper) = cpuSeconds(new SuperPostFiltering(vs, M, EF))
+    val (serf, tSerf) = cpuSeconds(new SegmentSerf(vs, SerfGrid, M, EF))
+    val (fVamana, tFv) = cpuSeconds(new FilteredVamana(vs, VamanaBuckets, M, EF))
+    val (sVamana, tSv) = cpuSeconds(new StitchedVamana(vs, VamanaBuckets, M, EF))
 
     val methods = Seq(
       BuiltMethod("iRangeGraph", irg.sizeBytes, tIrg,

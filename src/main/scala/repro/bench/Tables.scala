@@ -146,7 +146,7 @@ object Tables {
       val ranges = rqs.map(rq => (rq.L, rq.R))
       val gt = GroundTruth.computeSpark(BenchContext.spark, ds.vs, ds.queries, ranges, k)
       val (oracle, tOracle) = cpuSeconds(
-        OracleHnsw.build(ds.vs, distinct, MethodSuite.M, MethodSuite.EF))
+        new OracleHnsw(ds.vs, distinct, MethodSuite.M, MethodSuite.EF))
       (cells(ds.name, "shared-mixed", gt, Seq(
          "iRangeGraph" -> ((qid, beam) => {
            val (l, r) = ranges(qid)

@@ -42,20 +42,13 @@ object VectorData {
     ("ytaudio-lite", 16, 16, 505L),
   )
 
-  /** Generate one dataset.
-    *
-    * @param attr1Cardinality 0 = continuous A₁ (all values distinct a.s.);
-    *                         c > 0 quantizes A₁ to c distinct values to
-    *                         exercise the duplicate-attribute path.
-    */
+  /** Generate one dataset. */
   def generate(spark: SparkSession, name: String, n: Int, dim: Int,
-               clusters: Int, nQueries: Int, seed: Long,
-               attr1Cardinality: Int = 0): RfDataset = {
+               clusters: Int, nQueries: Int, seed: Long): RfDataset = {
     import spark.implicits._
     // Deterministic cluster centers on the driver, captured by the closure.
     val centerRnd = new java.util.Random(seed)
     val centers = Array.fill(clusters, dim)((centerRnd.nextGaussian() * 4.0).toFloat)
-    val card = attr1Cardinality
 
     val rows = spark
       .range(0, (n + nQueries).toLong)
@@ -70,8 +63,7 @@ object VectorData {
             vec(j) = centers(c)(j) + rnd.nextGaussian().toFloat
             j += 1
           }
-          val a1raw = rnd.nextDouble()
-          val a1 = if (card > 0) math.floor(a1raw * card) / card else a1raw
+          val a1 = rnd.nextDouble()
           val a2 = rnd.nextDouble()
           (id, vec, a1, a2)
         }

@@ -126,32 +126,32 @@ class GoldenChecksumSpec extends SparkSpec {
     val (l, r) = ranges(qi); InFiltering.search(hnsw, queries(qi), l, r, k, beam)
   }
 
-  private lazy val milvus = MilvusLike.build(vs, parts = 6, m = m, efConstruction = ef)
+  private lazy val milvus = new MilvusLike(vs, parts = 6, m = m, efConstruction = ef)
   golden("MilvusLike", "ecc5182e") { qi =>
     val (l, r) = ranges(qi); milvus.search(queries(qi), l, r, k, beam)
   }
 
-  private lazy val superPost = SuperPostFiltering.build(vs, m, ef)
+  private lazy val superPost = new SuperPostFiltering(vs, m, ef)
   golden("SuperPostFiltering", "2472f79c") { qi =>
     val (l, r) = ranges(qi); superPost.search(queries(qi), l, r, k, beam)
   }
 
-  private lazy val fVamana = FilteredVamana.build(vs, buckets = 6, m = m, efConstruction = ef)
+  private lazy val fVamana = new FilteredVamana(vs, buckets = 6, m = m, efConstruction = ef)
   golden("FilteredVamana", "54c73f02") { qi =>
     val (l, r) = ranges(qi); fVamana.search(queries(qi), l, r, k, beam)
   }
 
-  private lazy val sVamana = StitchedVamana.build(vs, buckets = 6, m = m, efConstruction = ef)
+  private lazy val sVamana = new StitchedVamana(vs, buckets = 6, m = m, efConstruction = ef)
   golden("StitchedVamana", "66fe1a7e") { qi =>
     val (l, r) = ranges(qi); sVamana.search(queries(qi), l, r, k, beam)
   }
 
-  private lazy val serf = SegmentSerf.build(vs, grid = 4, m = m, efConstruction = ef)
+  private lazy val serf = new SegmentSerf(vs, grid = 4, m = m, efConstruction = ef)
   golden("SegmentSerf", "bdb098eb") { qi =>
     val (l, r) = ranges(qi); serf.search(queries(qi), l, r, k, beam)
   }
 
-  private lazy val oracle = OracleHnsw.build(vs, ranges, m, ef)
+  private lazy val oracle = new OracleHnsw(vs, ranges, m, ef)
   golden("OracleHnsw", "77a867fc") { qi =>
     val (l, r) = ranges(qi); oracle.search(queries(qi), l, r, k, beam)
   }

@@ -7,9 +7,14 @@ import repro.graph.{BruteForce, Candidate, Hnsw, SortedList}
 
 /** The result contract every method obeys: ids in range, distinct, sorted
   * ascending by (distance, id) with each distance equal to `vs.dist2(id, q)`,
-  * and at most min(k, |range|) of them — exactly that many for the exact
-  * methods. Ranges cover the edge cases: single objects (L = R), the full
-  * range, and ranges shorter than k.
+  * and at most min(k, |range|) of them. Ranges cover the edge cases: single
+  * objects (L = R), the full range, and ranges shorter than k.
+  *
+  * Each method also pins its exact number of short cases: (range, query)
+  * pairs that return fewer than min(k, |range|) ids. The exact methods have
+  * none. The filtered baselines fall short on small ranges, as Section 5 of
+  * the paper reports; that shortfall is recorded here, not patched, so a
+  * change in a method's failure mode shows up as a test change.
   */
 class ResultContractSpec extends AnyFunSuite {
 
@@ -37,8 +42,9 @@ class ResultContractSpec extends AnyFunSuite {
   }
   private val ranges2: Seq[(Int, Int)] = Seq((0, n - 1), (100, 400), (42, 42))
 
+  /** Checks one result; true when it holds fewer than min(k, |range|) ids. */
   private def checkContract(what: String, q: Array[Float], inRange: Int => Boolean,
-                            rangeSize: Int, exact: Boolean, res: Array[Candidate]): Unit = {
+                            rangeSize: Int, res: Array[Candidate]): Boolean = {
     val ids = res.map(_.id)
     assert(ids.forall(inRange), s"$what: id out of range in ${ids.mkString(",")}")
     assert(ids.distinct.length == ids.length, s"$what: repeated id in ${ids.mkString(",")}")
@@ -46,41 +52,45 @@ class ResultContractSpec extends AnyFunSuite {
     for (Array(a, b) <- res.sliding(2))
       assert(SortedList.less(a.dist, a.id, b.dist, b.id), s"$what: $a before $b")
     val want = math.min(k, rangeSize)
-    if (exact) assert(res.length == want, s"$what: ${res.length} results, want $want")
-    else assert(res.length <= want, s"$what: ${res.length} results, at most $want")
+    assert(res.length <= want, s"$what: ${res.length} results, at most $want")
+    res.length < want
   }
 
   private lazy val ir = IRangeGraph.build(vs, m, ef)
   private lazy val hnsw = Hnsw.buildAll(vs, m, ef)
-  private lazy val milvus = MilvusLike.build(vs, parts = 4, m = m, efConstruction = ef)
-  private lazy val superPost = SuperPostFiltering.build(vs, m, ef)
-  private lazy val serf = SegmentSerf.build(vs, grid = 4, m = m, efConstruction = ef)
-  private lazy val fVamana = FilteredVamana.build(vs, buckets = 8, m = m, efConstruction = ef)
-  private lazy val sVamana = StitchedVamana.build(vs, buckets = 8, m = m, efConstruction = ef)
-  private lazy val oracle = OracleHnsw.build(vs, ranges.toArray, m, ef)
+  private lazy val milvus = new MilvusLike(vs, parts = 4, m = m, efConstruction = ef)
+  private lazy val superPost = new SuperPostFiltering(vs, m, ef)
+  private lazy val serf = new SegmentSerf(vs, grid = 4, m = m, efConstruction = ef)
+  private lazy val fVamana = new FilteredVamana(vs, buckets = 8, m = m, efConstruction = ef)
+  private lazy val sVamana = new StitchedVamana(vs, buckets = 8, m = m, efConstruction = ef)
+  private lazy val oracle = new OracleHnsw(vs, ranges.toArray, m, ef)
 
-  private val methods = Seq[(String, Boolean, (Array[Float], Int, Int, Int) => Array[Candidate])](
-    ("BruteForce.topK", true, (q, l, r, k) => BruteForce.topK(vs, q, l, r, k)),
-    ("PreFiltering", true, (q, l, r, k) => PreFiltering.search(vs, q, l, r, k)),
-    ("IRangeGraph (skipLayers = true)", false, (q, l, r, k) => ir.search(q, l, r, k, beam)),
-    ("IRangeGraph (skipLayers = false)", false,
+  /** (name, short cases out of the 8 ranges x 4 queries, search). */
+  private val methods = Seq[(String, Int, (Array[Float], Int, Int, Int) => Array[Candidate])](
+    ("BruteForce.topK", 0, (q, l, r, k) => BruteForce.topK(vs, q, l, r, k)),
+    ("PreFiltering", 0, (q, l, r, k) => PreFiltering.search(vs, q, l, r, k)),
+    ("IRangeGraph (skipLayers = true)", 0, (q, l, r, k) => ir.search(q, l, r, k, beam)),
+    ("IRangeGraph (skipLayers = false)", 0,
       (q, l, r, k) => ir.search(q, l, r, k, beam, skipLayers = false)),
-    ("BasicSearch", false, (q, l, r, k) => BasicSearch.search(vs, ir.graphs, q, l, r, k, beam)),
-    ("PostFiltering", false, (q, l, r, k) => PostFiltering.search(hnsw, q, l, r, k, beam)),
-    ("InFiltering", false, (q, l, r, k) => InFiltering.search(hnsw, q, l, r, k, beam)),
-    ("MilvusLike", false, (q, l, r, k) => milvus.search(q, l, r, k, beam)),
-    ("SuperPostFiltering", false, (q, l, r, k) => superPost.search(q, l, r, k, beam)),
-    ("SegmentSerf", false, (q, l, r, k) => serf.search(q, l, r, k, beam)),
-    ("FilteredVamana", false, (q, l, r, k) => fVamana.search(q, l, r, k, beam)),
-    ("StitchedVamana", false, (q, l, r, k) => sVamana.search(q, l, r, k, beam)),
-    ("OracleHnsw", false, (q, l, r, k) => oracle.search(q, l, r, k, beam)),
+    ("BasicSearch", 0, (q, l, r, k) => BasicSearch.search(vs, ir.graphs, q, l, r, k, beam)),
+    ("PostFiltering", 24, (q, l, r, k) => PostFiltering.search(hnsw, q, l, r, k, beam)),
+    ("InFiltering", 12, (q, l, r, k) => InFiltering.search(hnsw, q, l, r, k, beam)),
+    ("MilvusLike", 0, (q, l, r, k) => milvus.search(q, l, r, k, beam)),
+    ("SuperPostFiltering", 3, (q, l, r, k) => superPost.search(q, l, r, k, beam)),
+    ("SegmentSerf", 8, (q, l, r, k) => serf.search(q, l, r, k, beam)),
+    ("FilteredVamana", 28, (q, l, r, k) => fVamana.search(q, l, r, k, beam)),
+    ("StitchedVamana", 9, (q, l, r, k) => sVamana.search(q, l, r, k, beam)),
+    ("OracleHnsw", 0, (q, l, r, k) => oracle.search(q, l, r, k, beam)),
   )
 
-  for ((name, exact, search) <- methods)
+  for ((name, shortCases, search) <- methods)
     test(s"$name obeys the result contract") {
-      for ((l, r) <- ranges; (q, qi) <- queries.zipWithIndex)
-        checkContract(s"[$l,$r] query $qi", q, i => i >= l && i <= r, r - l + 1, exact,
-          search(q, l, r, k))
+      val short = for {
+        (l, r) <- ranges; (q, qi) <- queries.zipWithIndex
+        what = s"[$l,$r] query $qi"
+        if checkContract(what, q, i => i >= l && i <= r, r - l + 1, search(q, l, r, k))
+      } yield what
+      assert(short.length == shortCases, s"short results: ${short.mkString(", ")}")
     }
 
   /** Every public search rejects a malformed query: k = 0 (on a short and
@@ -105,16 +115,20 @@ class ResultContractSpec extends AnyFunSuite {
   for ((name, _, search) <- methods if name != "BruteForce.topK")
     test(s"$name rejects a malformed query")(rejectsMalformed(search))
 
-  for ((label, strategy) <- Seq[(String, Int => MultiAttr.Strategy)](
-         ("PostFilter", _ => MultiAttr.PostFilter),
-         ("InFilter", _ => MultiAttr.InFilter),
-         ("Probabilistic", qi => MultiAttr.Probabilistic(500L + qi))))
+  // (label, short cases out of the 8 x 3 range pairs x 4 queries, strategy)
+  for ((label, shortCases, strategy) <- Seq[(String, Int, Int => MultiAttr.Strategy)](
+         ("PostFilter", 4, _ => MultiAttr.PostFilter),
+         ("InFilter", 4, _ => MultiAttr.InFilter),
+         ("Probabilistic", 8, qi => MultiAttr.Probabilistic(500L + qi))))
     test(s"MultiAttr $label obeys the result contract on both ranges") {
-      for ((l, r) <- ranges; (l2, r2) <- ranges2; (q, qi) <- queries.zipWithIndex) {
-        val inBoth = (i: Int) => i >= l && i <= r && attr2Rank(i) >= l2 && attr2Rank(i) <= r2
-        checkContract(s"[$l,$r] x [$l2,$r2] query $qi", q, inBoth, (l to r).count(inBoth), exact = false,
+      val short = for {
+        (l, r) <- ranges; (l2, r2) <- ranges2; (q, qi) <- queries.zipWithIndex
+        what = s"[$l,$r] x [$l2,$r2] query $qi"
+        inBoth = (i: Int) => i >= l && i <= r && attr2Rank(i) >= l2 && attr2Rank(i) <= r2
+        if checkContract(what, q, inBoth, (l to r).count(inBoth),
           MultiAttr.search(ir, attr2Rank, q, l, r, l2, r2, k, beam, strategy(qi)))
-      }
+      } yield what
+      assert(short.length == shortCases, s"short results: ${short.mkString(", ")}")
     }
 
   test("MultiAttr rejects a malformed query with every strategy") {

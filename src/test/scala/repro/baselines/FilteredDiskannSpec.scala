@@ -10,8 +10,8 @@ class FilteredDiskannSpec extends AnyFunSuite {
   private val n = 500
   private val vs = TestData.clusteredVs(n, 8, clusters = 6, seed = 211)
   private val queries = TestData.nearQueries(vs, 15, seed = 212)
-  private lazy val fv = FilteredVamana.build(vs, buckets = 10, m = 10, efConstruction = 60)
-  private lazy val sv = StitchedVamana.build(vs, buckets = 10, m = 10, efConstruction = 60)
+  private lazy val fv = new FilteredVamana(vs, buckets = 10, m = 10, efConstruction = 60)
+  private lazy val sv = new StitchedVamana(vs, buckets = 10, m = 10, efConstruction = 60)
 
   test("bucketOf maps ranks into 10 ordered buckets") {
     assert(FilteredDiskann.bucketOf(n, 10, 0) == 0)

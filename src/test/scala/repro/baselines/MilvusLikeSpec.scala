@@ -10,10 +10,10 @@ class MilvusLikeSpec extends AnyFunSuite {
   private val n = 600
   private val vs = TestData.clusteredVs(n, 8, clusters = 6, seed = 181)
   private val queries = TestData.nearQueries(vs, 15, seed = 182)
-  private lazy val mv = MilvusLike.build(vs, parts = 6, m = 10, efConstruction = 60)
+  private lazy val mv = new MilvusLike(vs, parts = 6, m = 10, efConstruction = 60)
 
   test("partitions cover the rank space disjointly") {
-    val mv2 = MilvusLike.build(TestData.randomVs(100, 4, seed = 183), parts = 7, m = 4,
+    val mv2 = new MilvusLike(TestData.randomVs(100, 4, seed = 183), parts = 7, m = 4,
       efConstruction = 10)
     assert(mv2.indexes.length == 7)
   }

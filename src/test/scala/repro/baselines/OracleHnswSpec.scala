@@ -11,7 +11,7 @@ class OracleHnswSpec extends AnyFunSuite {
   private val vs = TestData.clusteredVs(n, 8, clusters = 5, seed = 221)
   private val queries = TestData.nearQueries(vs, 12, seed = 222)
   private val ranges = Array((0, 399), (50, 250), (300, 360), (100, 111))
-  private lazy val oracle = OracleHnsw.build(vs, ranges, m = 10, efConstruction = 60)
+  private lazy val oracle = new OracleHnsw(vs, ranges, m = 10, efConstruction = 60)
 
   test("one index per distinct range") {
     assert(oracle.indexes.size == 4)

@@ -10,7 +10,7 @@ class SegmentSerfSpec extends AnyFunSuite {
   private val n = 500
   private val vs = TestData.clusteredVs(n, 8, clusters = 6, seed = 201)
   private val queries = TestData.nearQueries(vs, 15, seed = 202)
-  private lazy val serf = SegmentSerf.build(vs, grid = 4, m = 10, efConstruction = 60)
+  private lazy val serf = new SegmentSerf(vs, grid = 4, m = 10, efConstruction = 60)
 
   test("left endpoints start at 0 and ascend") {
     assert(serf.lefts.head == 0)

@@ -10,7 +10,7 @@ class SuperPostFilteringSpec extends AnyFunSuite {
   private val n = 512
   private val vs = TestData.clusteredVs(n, 8, clusters = 6, seed = 191)
   private val queries = TestData.nearQueries(vs, 15, seed = 192)
-  private lazy val sp = SuperPostFiltering.build(vs, m = 10, efConstruction = 60)
+  private lazy val sp = new SuperPostFiltering(vs, m = 10, efConstruction = 60)
 
   test("window set contains the full range at level 0") {
     assert(sp.windows.exists { case (lo, hi, _) => lo == 0 && hi == n - 1 })

@@ -49,14 +49,6 @@ class VectorDataSpec extends SparkSpec {
     assert(nnDists.sum / nnDists.length < pairDists.sum / pairDists.length / 3)
   }
 
-  test("attr1Cardinality quantizes A1 to at most c distinct values") {
-    val dup = VectorData.generate(spark, "t", n = 300, dim = 4,
-      clusters = 3, nQueries = 5, seed = 903L, attr1Cardinality = 10)
-    val ai = new AttributeIndex(dup.attr1Values)
-    assert(ai.cardinality <= 10)
-    assert(ai.cardinality > 1)
-  }
-
   test("the five analogs carry the configured dimensions") {
     val all = VectorData.datasets(spark, n = 64, nQueries = 4)
     assert(all.map(_.name) ==

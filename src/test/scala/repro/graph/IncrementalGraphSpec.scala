@@ -76,8 +76,8 @@ class IncrementalGraphSpec extends AnyFunSuite {
     // The baselines own the byte accounting of their graphs: SeRF stores
     // every edge ever made with its lifespan, the Vamana graphs only the
     // live neighbor ids.
-    val serf = SegmentSerf.build(vs, grid = 1, m = 8, efConstruction = 30)
-    val fv = FilteredVamana.build(vs, buckets = 1, m = 8, efConstruction = 30)
+    val serf = new SegmentSerf(vs, grid = 1, m = 8, efConstruction = 30)
+    val fv = new FilteredVamana(vs, buckets = 1, m = 8, efConstruction = 30)
     val g = serf.graphs(0)
     assert(serf.sizeBytes == g.storedEdges * 12)
     assert(fv.sizeBytes == fv.graph.liveEdges * 4)
