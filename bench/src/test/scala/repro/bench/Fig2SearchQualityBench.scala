@@ -12,7 +12,7 @@ package repro.bench
   */
 class Fig2SearchQualityBench extends repro.SparkSpec {
 
-  test("Figure 2 — single-attribute RFANN search quality") {
+  test("Figure 2 - single-attribute RFANN search quality") {
     val res = Tables.fig2(BenchContext.datasets.map(_.name))
     println(res.text)
 

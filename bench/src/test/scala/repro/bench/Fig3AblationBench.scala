@@ -13,7 +13,7 @@ class Fig3AblationBench extends repro.SparkSpec {
 
   private val CounterBeam = 20
 
-  test("Figure 3 — ablation: layer skipping and on-the-fly construction") {
+  test("Figure 3 - ablation: layer skipping and on-the-fly construction") {
     val res = Tables.fig3(BenchContext.datasets.map(_.name))
     println(res.text)
 

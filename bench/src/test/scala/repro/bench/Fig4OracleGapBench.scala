@@ -6,7 +6,7 @@ package repro.bench
   */
 class Fig4OracleGapBench extends repro.SparkSpec {
 
-  test("Figure 4 — iRangeGraph vs Oracle-HNSW") {
+  test("Figure 4 - iRangeGraph vs Oracle-HNSW") {
     val res = Tables.fig4(BenchContext.datasets.map(_.name))
     println(res.text)
 

@@ -8,7 +8,7 @@ package repro.bench
   */
 class Fig5MultiAttrBench extends repro.SparkSpec {
 
-  test("Figure 5 — multi-attribute RFANN") {
+  test("Figure 5 - multi-attribute RFANN") {
     val res = Tables.fig5()
     println(res.text)
 

@@ -7,7 +7,7 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 class Table1DatasetsBench extends AnyFunSuite {
 
-  test("Table 1 — datasets") {
+  test("Table 1 - datasets") {
     val text = Tables.table1()
     println(text)
     val dss = BenchContext.datasets

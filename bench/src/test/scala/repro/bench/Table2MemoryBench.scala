@@ -7,7 +7,7 @@ package repro.bench
   */
 class Table2MemoryBench extends repro.SparkSpec {
 
-  test("Table 2 — memory footprint") {
+  test("Table 2 - memory footprint") {
     val res = Tables.table2()
     println(res.text)
     val raw = res.row("Raw Vectors")

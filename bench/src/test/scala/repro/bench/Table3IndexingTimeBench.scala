@@ -8,7 +8,7 @@ package repro.bench
   */
 class Table3IndexingTimeBench extends repro.SparkSpec {
 
-  test("Table 3 — indexing time") {
+  test("Table 3 - indexing time") {
     val res = Tables.table3()
     println(res.text)
     val irg = res.row("iRangeGraph")

@@ -6,7 +6,7 @@ import repro.bench.{BenchContext, Tables}
   *
   * {{{
   * spark-submit --class repro.jobs.Main target/scala-2.13/repro_2.13-*.jar \
-  *   <table1|table2|table3|fig2|fig3|fig4|fig5|all> [dataset…]
+  *   <table1|table2|table3|fig2|fig3|fig4|fig5|all> [dataset...]
   * }}}
   *
   * `all` runs every artifact in order. Optional dataset names restrict the
@@ -33,7 +33,7 @@ object Main {
       case Some("all") => artifacts
       case Some(a) if artifacts.exists(_._1 == a) => artifacts.filter(_._1 == a)
       case _ =>
-        System.err.println(s"usage: repro.jobs.Main <${artifacts.map(_._1).mkString("|")}|all> [dataset…]")
+        System.err.println(s"usage: repro.jobs.Main <${artifacts.map(_._1).mkString("|")}|all> [dataset...]")
         sys.exit(2)
     }
     chosen.foreach { case (_, run) => println(run()) }

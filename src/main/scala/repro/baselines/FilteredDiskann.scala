@@ -25,6 +25,9 @@ object FilteredDiskann {
       (lo, hi)
     }
 
+  /** RobustPrune's α of both Vamana builds. */
+  private[baselines] val Alpha = 1.2f
+
   /** Ids [lo, hi] in a Fisher–Yates order from `seed`: the Vamana builds' insertion order. */
   private[baselines] def shuffled(lo: Int, hi: Int, seed: Long): Seq[Int] = {
     val rnd = new SplittableRandom(seed)
@@ -38,16 +41,9 @@ object FilteredDiskann {
 /** FilteredVamana: one α-robust Vamana graph over the whole dataset (random
   * insertion order), searched with the label filter.
   */
-final class FilteredVamana(
-    val vs: VecStore,
-    val buckets: Int,
-    m: Int,
-    efConstruction: Int,
-    alpha: Float = 1.2f,
-    seed: Long = 19L,
-) {
-  val graph: IncrementalGraph =
-    IncrementalGraph.build(vs, FilteredDiskann.shuffled(0, vs.n - 1, seed), m, efConstruction, alpha)
+final class FilteredVamana(val vs: VecStore, val buckets: Int, m: Int, efConstruction: Int) {
+  val graph: IncrementalGraph = IncrementalGraph.build(
+    vs, FilteredDiskann.shuffled(0, vs.n - 1, seed = 19L), m, efConstruction, FilteredDiskann.Alpha)
   private val bounds = FilteredDiskann.bucketBounds(vs.n, buckets)
 
   def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
@@ -72,17 +68,11 @@ final class FilteredVamana(
   * index (single-label points make the stitched graph block-diagonal; the
   * filtered search walks each overlapped bucket from its own entry).
   */
-final class StitchedVamana(
-    val vs: VecStore,
-    val buckets: Int,
-    m: Int,
-    efConstruction: Int,
-    alpha: Float = 1.2f,
-    seed: Long = 23L,
-) {
+final class StitchedVamana(val vs: VecStore, val buckets: Int, m: Int, efConstruction: Int) {
   private val bounds = FilteredDiskann.bucketBounds(vs.n, buckets)
   val graphs: Array[IncrementalGraph] = bounds.zipWithIndex.map { case ((lo, hi), b) =>
-    IncrementalGraph.build(vs, FilteredDiskann.shuffled(lo, hi, seed + b), m, efConstruction, alpha)
+    IncrementalGraph.build(vs, FilteredDiskann.shuffled(lo, hi, seed = 23L + b), m, efConstruction,
+      FilteredDiskann.Alpha)
   }
 
   def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,

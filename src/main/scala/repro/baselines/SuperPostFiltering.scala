@@ -11,23 +11,19 @@ import scala.collection.mutable
   * window's index, so up to (2β − 1)·s of the visited objects can be
   * out-of-range — the inherent Post-filtering issue the paper contrasts
   * against. Memory is ~2n indexed points per level, roughly 2× iRangeGraph's
-  * n per layer, matching Table 2's ordering. The default β = 2 is the
-  * paper's recommended parameter.
+  * n per layer, matching Table 2's ordering. β = 2 is the paper's
+  * recommended parameter. Levels stop below windows of 64 objects, but
+  * level 0 is always built, so a set of fewer than 64 objects has one
+  * window.
   */
-final class SuperPostFiltering(
-    val vs: VecStore,
-    m: Int,
-    efConstruction: Int,
-    val beta: Int = 2,
-    minWindow: Int = 64,
-) {
+final class SuperPostFiltering(val vs: VecStore, m: Int, efConstruction: Int) {
   /** (lo, hi, index) per window, all levels. */
   val windows: Array[(Int, Int, Hnsw)] = {
     val n = vs.n
     val out = mutable.ArrayBuffer.empty[(Int, Int, Hnsw)]
     var len = n
-    while (len >= minWindow) {
-      val stride = math.max(1, len / beta)
+    do {
+      val stride = math.max(1, len / SuperPostFiltering.Beta)
       var lo = 0
       var more = true
       while (more) {
@@ -36,7 +32,7 @@ final class SuperPostFiltering(
         if (hi == n - 1) more = false else lo += stride
       }
       len = len / 2
-    }
+    } while (len >= SuperPostFiltering.MinWindow)
     out.toArray
   }
 
@@ -57,4 +53,12 @@ final class SuperPostFiltering(
   }
 
   def sizeBytes: Long = windows.map(_._3.sizeBytes).sum
+}
+
+object SuperPostFiltering {
+  /** Window overlap factor β: windows of a level start len/β apart. */
+  private val Beta = 2
+
+  /** The shortest window length that gets a level. */
+  private val MinWindow = 64
 }

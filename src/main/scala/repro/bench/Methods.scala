@@ -58,7 +58,7 @@ object MethodSuite {
     require(sparkGraphs.numLayers == irgGraphs.numLayers &&
       irgGraphs.layers.indices.forall(i =>
         java.util.Arrays.equals(sparkGraphs.layers(i), irgGraphs.layers(i))),
-      "Spark and local builds disagree — determinism broken")
+      "Spark and local builds disagree - determinism broken")
     irgGraphs.validate(vs)
 
     val (_, tHnsw) = cpuSeconds(Hnsw.buildAll(vs, M, EF))

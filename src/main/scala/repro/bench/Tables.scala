@@ -37,7 +37,7 @@ object Tables {
       Seq(ds.name, ds.n.toString, ds.dim.toString, "2",
           ds.queries.length.toString, fmtMB(ds.rawVectorBytes) + " MB")
     }
-    formatTable("Table 1 — Datasets (synthetic analogs)",
+    formatTable("Table 1 - Datasets (synthetic analogs)",
       Seq("dataset", "n", "dim", "#attrs", "#queries", "raw vectors"), rows)
   }
 
@@ -61,12 +61,12 @@ object Tables {
     * reports overall footprint; raw vectors listed for reference).
     */
   def table2(): PerDataset[Long] =
-    perDataset[Long]("Table 2 — Memory footprint (MB)", fmtMB, suites =>
+    perDataset[Long]("Table 2 - Memory footprint (MB)", fmtMB, suites =>
       ("Raw Vectors" -> suites.map(_.ds.rawVectorBytes)) +:
         methodRows(suites)((s, m) => s.ds.rawVectorBytes + m.indexBytes))
 
   def table3(): PerDataset[Double] =
-    perDataset[Double]("Table 3 — Indexing time (s)", s => f"$s%.1f", suites =>
+    perDataset[Double]("Table 3 - Indexing time (s)", s => f"$s%.1f", suites =>
       methodRows(suites)((_, m) => m.buildSeconds) ++ Seq(
         "HNSW-on-all (reference)" -> suites.map(_.hnswAllBuildSeconds),
         "iRangeGraph (Spark 16-way)" -> suites.map(_.sparkIrgBuildSeconds)))
@@ -94,7 +94,7 @@ object Tables {
   def fig2(datasetNames: Seq[String]): Figure = {
     val k = BenchContext.k
     figure(
-      "Figure 2 (as table) — single-attribute RFANN: qps @ 0.9 recall ('fail' = never reaches 0.9) and max recall",
+      "Figure 2 (as table) - single-attribute RFANN: qps @ 0.9 recall ('fail' = never reaches 0.9) and max recall",
       for {
         ds <- selected(datasetNames)
         suite = BenchContext.suite(ds)
@@ -113,7 +113,7 @@ object Tables {
     */
   def fig3(datasetNames: Seq[String]): Figure = {
     val k = BenchContext.k
-    figure("Figure 3 (as table) — ablation on mixed workload: qps @ 0.9 recall",
+    figure("Figure 3 (as table) - ablation on mixed workload: qps @ 0.9 recall",
       selected(datasetNames).flatMap { ds =>
         val irg = BenchContext.suite(ds).irg
         val w = BenchContext.workload(ds, "mixed")
@@ -160,7 +160,7 @@ object Tables {
        f"Oracle-HNSW build on ${ds.name}: $tOracle%.1f s")
     }
     val fig = figure(
-      "Figure 4 (as table) — iRangeGraph vs Oracle-HNSW, shared mixed ranges: qps @ 0.9 recall",
+      "Figure 4 (as table) - iRangeGraph vs Oracle-HNSW, shared mixed ranges: qps @ 0.9 recall",
       runs.flatMap(_._1))
     fig.copy(text = (fig.text +: runs.map(_._2)).mkString("\n"))
   }
@@ -170,7 +170,7 @@ object Tables {
     */
   def fig5(datasetNames: Seq[String] = Seq("ytrgb-lite", "ytaudio-lite")): Figure = {
     val k = BenchContext.k
-    figure("Figure 5 (as table) — multi-attribute RFANN: qps @ 0.9 recall",
+    figure("Figure 5 (as table) - multi-attribute RFANN: qps @ 0.9 recall",
       selected(datasetNames).flatMap { ds =>
         val suite = BenchContext.suite(ds)
         val qs = Workload.multiAttr(ds.n, BenchContext.nQueries)

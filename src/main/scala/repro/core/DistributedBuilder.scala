@@ -18,15 +18,13 @@ object DistributedBuilder {
 
   /** Build the full index; `cutLay` defaults to 4 (16 parallel subtrees).
     * The cut is clamped to `depth - 2`, the deepest layer whose segments
-    * still partition the ranks.
+    * still partition the ranks; at cut 0 one task builds the whole index.
     */
   def build(spark: SparkSession, vs: VecStore, m: Int, ef: Int,
             cutLay: Int = 4): ElementalGraphs = {
     val n = vs.n
     val depth = SegmentTree.depth(n)
     val cut = math.max(0, math.min(cutLay, depth - 2))
-    if (cut == 0) return ElementalGraphBuilder.build(vs, m, ef)
-
     val segs = SegmentTree.segmentsAtLayer(n, cut)
     val built = spark.sparkContext
       .parallelize(segs.map { case (l, r) => (l, vs.slice(l, r + 1)) }, segs.length)

@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.stream.IntStream
-import repro.graph.{BeamSearch, BruteForce, FlatAdjacency, RngPrune, SortedList, VecStore}
+import repro.graph.{BeamSearch, FlatAdjacency, RngPrune, SortedList, VecStore}
 
 /** Bottom-up materialization of all elemental graphs (Section 3.2.2).
   *
@@ -13,7 +13,7 @@ import repro.graph.{BeamSearch, BruteForce, FlatAdjacency, RngPrune, SortedList,
   *     [l, r] (superset pruning argument), so copying them is sufficient; and
   *  2. approximate nearest neighbors of u searched in the *sibling* child's
   *     elemental graph (beam search with beam = EF), since nothing is known
-  *     about pruning there.
+  *     about pruning there; a sibling of at most EF members is taken whole.
   *
   * The union is then RNG-pruned (α = 1, the paper's rule) and capped at m.
   * Segments of size ≤ `bruteThreshold` take all members as candidates, which
@@ -54,13 +54,16 @@ object ElementalGraphBuilder {
                         l: Int, r: Int, lay: Int, u: Int): Unit = {
     val brute = r - l + 1 <= bruteThreshold(m)
     val cands = new SortedList(if (brute) r - l else m + ef)
-    if (brute) {
-      var v = l
-      while (v <= r) {
+    // Every member of [lo, hi] except u, at its distance to u.
+    def offerAll(lo: Int, hi: Int): Unit = {
+      var v = lo
+      while (v <= hi) {
         if (v != u) cands.insert(vs.dist2(u, v), v)
         v += 1
       }
-    } else {
+    }
+    if (brute) offerAll(l, r)
+    else {
       val mid = SegmentTree.mid(l, r)
       val childAdj = layers(lay + 1)
       val (siblingLo, siblingHi) =
@@ -72,23 +75,22 @@ object ElementalGraphBuilder {
         cands.insert(vs.dist2(u, childAdj(slot)), childAdj(slot))
         slot += 1
       }
-      // 2. Approximate NNs of u searched in the sibling child's graph.
-      val q = vs.vector(u)
-      val found =
-        if (siblingHi - siblingLo + 1 <= ef)
-          BruteForce.topK(vs, q, siblingLo, siblingHi, ef)
-        else {
-          val scratch = new Array[Int](m)
-          BeamSearch.search(
-            q, (i: Int) => vs.dist2(i, q),
-            entries = Seq(SegmentTree.mid(siblingLo, siblingHi)),
-            beam = ef, k = ef,
-            neighbors = (x: Int) => FlatAdjacency.copy(childAdj, m, x, scratch),
-          )
-        }
-      for (f <- found) cands.insert(f.dist, f.id)
+      // 2. u's nearest members of the sibling child: all of them when there
+      // are at most ef, else a beam search of the sibling's graph.
+      if (siblingHi - siblingLo + 1 <= ef) offerAll(siblingLo, siblingHi)
+      else {
+        val q = vs.vector(u)
+        val scratch = new Array[Int](m)
+        val found = BeamSearch.search(
+          q, (i: Int) => vs.dist2(i, q),
+          entries = Seq(SegmentTree.mid(siblingLo, siblingHi)),
+          beam = ef, k = ef,
+          neighbors = (x: Int) => FlatAdjacency.copy(childAdj, m, x, scratch),
+        )
+        for (f <- found) cands.insert(f.dist, f.id)
+      }
     }
-    FlatAdjacency.write(layers(lay), m, u, RngPrune.prune(cands, (a, b) => vs.dist2(a, b), m))
+    FlatAdjacency.write(layers(lay), m, u, RngPrune.prune(vs, cands, m))
   }
 
   /** Driver-local build of the full index over `vs` (ranks = ids). */

@@ -10,7 +10,6 @@ final class SearchStats {
   var distComputations: Long = 0L
   var nodesExpanded: Long = 0L
   var edgesScanned: Long = 0L
-  def reset(): Unit = { distComputations = 0; nodesExpanded = 0; edgesScanned = 0 }
 }
 
 /** Greedy beam search (Section 2.1) over an arbitrary adjacency function.

@@ -21,12 +21,12 @@ object FlatAdjacency {
   def neighbors(a: Array[Int], cap: Int, i: Int): Array[Int] =
     java.util.Arrays.copyOfRange(a, i * cap, i * cap + degree(a, cap, i))
 
-  /** Set node i's links to the ids of `kept` (at most `cap`), -1-padded. */
-  def write(a: Array[Int], cap: Int, i: Int, kept: Array[Candidate]): Unit = {
+  /** Set node i's links to `kept` (at most `cap` ids), -1-padded. */
+  def write(a: Array[Int], cap: Int, i: Int, kept: Array[Int]): Unit = {
     val base = i * cap
     var s = 0
     while (s < cap) {
-      a(base + s) = if (s < kept.length) kept(s).id else -1
+      a(base + s) = if (s < kept.length) kept(s) else -1
       s += 1
     }
   }

@@ -11,8 +11,9 @@ import scala.collection.mutable
   * Faithful to hnswlib: geometric level sampling with mL = 1/ln(M), RNG
   * heuristic neighbor selection (the updated hnswlib pruning rule the paper
   * cites), bidirectional links with overflow pruning, maxM0 = 2M at the base
-  * layer, greedy descent from the top level. Deterministic given (seed,
-  * insertion order); ties broken by (dist, id).
+  * layer, greedy descent from the top level. Deterministic given the
+  * insertion order (level sampling uses a fixed seed); ties broken by
+  * (dist, id).
   *
   * Operates over ids [lo, hi] (inclusive) of a [[VecStore]] so callers can
   * index attribute-contiguous slices without copying vectors.
@@ -23,10 +24,9 @@ final class Hnsw private (
     val hi: Int,
     val m: Int,
     val efConstruction: Int,
-    seed: Long,
 ) {
   private val mL = 1.0 / math.log(m.toDouble)
-  private val rnd = new SplittableRandom(seed)
+  private val rnd = new SplittableRandom(Hnsw.Seed)
 
   // links(l) holds level l in the `FlatAdjacency` layout, node u at slot
   // index u - lo; a level's array is allocated when a node first reaches it.
@@ -77,7 +77,6 @@ final class Hnsw private (
     if (entryPoint < 0) { entryPoint = u; entryLevel = lvl; return }
 
     val q = vs.vector(u)
-    val interDist = (a: Int, b: Int) => vs.dist2(a, b)
     val cands = new SortedList
     // Insert at each level from min(lvl, entryLevel) down to 0.
     var l = math.min(lvl, entryLevel)
@@ -86,17 +85,16 @@ final class Hnsw private (
       val found = searchLevel(q, eps, efConstruction, efConstruction, l)
       cands.reset(found.length)
       for (f <- found if f.id != u) cands.insert(f.dist, f.id)
-      val sel = RngPrune.prune(cands, interDist, m)
+      val sel = RngPrune.prune(vs, cands, m)
       val a = links(l)
       val c = cap(l)
       FlatAdjacency.write(a, c, u - lo, sel)
       // Bidirectional links; a full neighbor re-prunes its links plus u.
-      for (s <- sel) {
-        val v = s.id
+      for (v <- sel) {
         if (!FlatAdjacency.append(a, c, v - lo, u)) {
           cands.reset(c + 1)
           for (x <- FlatAdjacency.neighbors(a, c, v - lo) :+ u) cands.insert(vs.dist2(v, x), x)
-          FlatAdjacency.write(a, c, v - lo, RngPrune.prune(cands, interDist, c))
+          FlatAdjacency.write(a, c, v - lo, RngPrune.prune(vs, cands, c))
         }
       }
       eps = found.map(_.id).toSeq
@@ -148,17 +146,19 @@ final class Hnsw private (
 
 object Hnsw {
 
+  /** Seed of the level sampling; every build uses it. */
+  private val Seed = 42L
+
   /** Build over ids [lo, hi] of `vs`, inserting in ascending id order. */
-  def build(vs: VecStore, lo: Int, hi: Int, m: Int, efConstruction: Int,
-            seed: Long = 42L): Hnsw = {
+  def build(vs: VecStore, lo: Int, hi: Int, m: Int, efConstruction: Int): Hnsw = {
     require(lo <= hi, s"empty range [$lo,$hi]")
-    val h = new Hnsw(vs, lo, hi, m, efConstruction, seed)
+    val h = new Hnsw(vs, lo, hi, m, efConstruction)
     var i = lo
     while (i <= hi) { h.insert(i); i += 1 }
     h
   }
 
   /** Build over the whole store. */
-  def buildAll(vs: VecStore, m: Int, efConstruction: Int, seed: Long = 42L): Hnsw =
-    build(vs, 0, vs.n - 1, m, efConstruction, seed)
+  def buildAll(vs: VecStore, m: Int, efConstruction: Int): Hnsw =
+    build(vs, 0, vs.n - 1, m, efConstruction)
 }

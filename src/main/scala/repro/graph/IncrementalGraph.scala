@@ -68,22 +68,21 @@ final class IncrementalGraph(
     val found = search(vs.vector(u), Seq(entryPoint), efConstruction, efConstruction)
     val cands = new SortedList(found.length)
     for (f <- found if f.id != u) cands.insert(f.dist, f.id)
-    val sel = RngPrune.prune(cands, (a, b) => vs.dist2(a, b), m, alpha)
+    val sel = RngPrune.prune(vs, cands, m, alpha)
     insertedOrder += u
-    sel.foreach(c => addEdge(u, c.id))
+    sel.foreach(addEdge(u, _))
     // Reverse edges; a neighbor over m live edges re-prunes them.
-    for (s <- sel) {
-      val c = s.id
+    for (c <- sel) {
       addEdge(c, u)
       val live = neighbors(c)
       if (live.length > m) {
         cands.reset(live.length)
         live.foreach(x => cands.insert(vs.dist2(c, x), x))
-        val kept = RngPrune.prune(cands, (a, b) => vs.dist2(a, b), m, alpha)
+        val kept = RngPrune.prune(vs, cands, m, alpha)
         val a = log(c)
         var i = 0
         while (i < 3 * logLen(c)) {
-          if (a(i + 2) == Int.MaxValue && !kept.exists(_.id == a(i))) a(i + 2) = step
+          if (a(i + 2) == Int.MaxValue && !kept.contains(a(i))) a(i + 2) = step
           i += 3
         }
       }

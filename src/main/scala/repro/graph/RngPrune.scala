@@ -12,18 +12,13 @@ object RngPrune {
 
   /** Prune `candidates` (distinct ids, each with its distance to u) down to
     * at most `m` diversified neighbors, reading the list front to back as
-    * DiskANN's RobustPrune and hnswlib's heuristic do. Returns the kept
-    * candidates in ascending (dist, id) order.
-    *
-    * `interDist(a, b)` supplies the distance between two candidates.
+    * DiskANN's RobustPrune and hnswlib's heuristic do. Returns the kept ids
+    * in ascending (dist, id) order; distances between candidates come from
+    * `vs`.
     */
-  private[repro] def prune(
-      candidates: SortedList,
-      interDist: (Int, Int) => Float,
-      m: Int,
-      alpha: Float = 1.0f,
-  ): Array[Candidate] = {
-    val kept = new Array[Candidate](math.min(m, candidates.size))
+  private[repro] def prune(vs: VecStore, candidates: SortedList, m: Int,
+                           alpha: Float = 1.0f): Array[Int] = {
+    val kept = new Array[Int](math.min(m, candidates.size))
     var n = 0
     var i = 0
     while (i < candidates.size && n < m) {
@@ -31,10 +26,10 @@ object RngPrune {
       var pruned = false
       var j = 0
       while (!pruned && j < n) {
-        if (alpha * interDist(kept(j).id, c) < candidates.dist(i)) pruned = true
+        if (alpha * vs.dist2(kept(j), c) < candidates.dist(i)) pruned = true
         j += 1
       }
-      if (!pruned) { kept(n) = Candidate(c, candidates.dist(i)); n += 1 }
+      if (!pruned) { kept(n) = c; n += 1 }
       i += 1
     }
     java.util.Arrays.copyOf(kept, n)

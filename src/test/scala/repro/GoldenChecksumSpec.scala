@@ -68,6 +68,17 @@ class GoldenChecksumSpec extends SparkSpec {
     assert(crcsOf(local.layers) == layerCrcs)
   }
 
+  // At n = 80 the root's children hold exactly ef = 40 members, so each
+  // node takes its whole sibling as candidates; at n = 82 they hold 41, so
+  // the sibling is beam-searched.
+  for ((size, expected) <- Seq(
+         80 -> Seq("b48d8ebf", "49a17a92", "a74a6caa", "c8533efb", "64b58138", "df77a981", "bce5d6bf", "44c1c995"),
+         82 -> Seq("5c25c14c", "712ebd14", "32854cdd", "ca99061b", "8837ae84", "677ccbf0", "5ccea63c", "cdd32e8e")))
+    test(s"local build layers at n = $size match the golden checksums") {
+      val small = TestData.randomVs(size, 24, seed = 196)
+      assert(crcsOf(ElementalGraphBuilder.build(small, m, ef).layers) == expected)
+    }
+
   for (cut <- Seq(3, 4)) {
     test(s"Spark build layers match the golden checksums (cutLay=$cut)") {
       assert(crcsOf(DistributedBuilder.build(spark, vs, m, ef, cutLay = cut).layers) == layerCrcs)

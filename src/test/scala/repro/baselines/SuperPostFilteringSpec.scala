@@ -3,7 +3,7 @@ package repro.baselines
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
 import repro.data.GroundTruth
-import repro.graph.BruteForce
+import repro.graph.{BruteForce, SortedList}
 
 class SuperPostFilteringSpec extends AnyFunSuite {
 
@@ -59,6 +59,21 @@ class SuperPostFilteringSpec extends AnyFunSuite {
       val got = queries.indices.toArray.map(qi =>
         sp.search(queries(qi), ranges(qi)._1, ranges(qi)._2, 10, 150).map(_.id))
       assert(GroundTruth.meanRecall(gt, got) >= 0.85, s"len=$len")
+    }
+  }
+
+  test("fewer than 64 objects get one full-range window and searches keep the result contract") {
+    val small = TestData.clusteredVs(50, 8, clusters = 3, seed = 196)
+    val sp50 = new SuperPostFiltering(small, m = 10, efConstruction = 60)
+    assert(sp50.windows.map(w => (w._1, w._2)).toSeq == Seq((0, 49)))
+    for (q <- TestData.nearQueries(small, 5, seed = 197); (l, r) <- Seq((0, 49), (20, 24))) {
+      val res = sp50.search(q, l, r, 10, 60)
+      val ids = res.map(_.id)
+      assert(ids.length == math.min(10, r - l + 1), s"range [$l,$r]")
+      assert(ids.forall(i => i >= l && i <= r), s"range [$l,$r]")
+      assert(ids.distinct.length == ids.length, s"range [$l,$r]")
+      for (Array(a, b) <- res.sliding(2))
+        assert(SortedList.less(a.dist, a.id, b.dist, b.id), s"range [$l,$r]: $a before $b")
     }
   }
 

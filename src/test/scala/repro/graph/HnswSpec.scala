@@ -37,8 +37,8 @@ class HnswSpec extends AnyFunSuite {
   }
 
   test("build is deterministic given the seed") {
-    val a = Hnsw.build(vs, 0, 199, m = 8, efConstruction = 40, seed = 7L)
-    val b = Hnsw.build(vs, 0, 199, m = 8, efConstruction = 40, seed = 7L)
+    val a = Hnsw.build(vs, 0, 199, m = 8, efConstruction = 40)
+    val b = Hnsw.build(vs, 0, 199, m = 8, efConstruction = 40)
     assert(a.edgeCount == b.edgeCount)
     for (u <- 0 until 200) assert(a.baseNeighbors(u).toSeq == b.baseNeighbors(u).toSeq)
   }

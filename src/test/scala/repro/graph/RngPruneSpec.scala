@@ -12,9 +12,10 @@ class RngPruneSpec extends AnyFunSuite {
     l
   }
 
+  /** The kept neighbors of u, each with its distance to u. */
   private def pruneFor(vs: VecStore, u: Int, ids: Seq[Int], m: Int,
                        alpha: Float = 1.0f): Array[Candidate] =
-    RngPrune.prune(listFor(vs, u, ids), (a, b) => vs.dist2(a, b), m, alpha)
+    RngPrune.prune(vs, listFor(vs, u, ids), m, alpha).map(id => Candidate(id, vs.dist2(u, id)))
 
   test("nearest candidate is always kept") {
     val vs = TestData.randomVs(50, 6, seed = 31)
