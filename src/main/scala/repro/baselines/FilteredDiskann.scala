@@ -1,29 +1,19 @@
 package repro.baselines
 
 import java.util.SplittableRandom
-import repro.graph.{BruteForce, Candidate, IncrementalGraph, SearchStats, VecStore}
+import repro.graph.{BruteForce, Candidate, IncrementalGraph, RankBlocks, VecStore}
 
 /** Filtered-DiskANN adapted to range filtering exactly as the paper (and
-  * SeRF before it) does: the full rank range [0, n) is divided into
-  * `buckets` consecutive buckets, each assigned a label; a query's labels
-  * are the buckets that overlap its range. Both variants search with the
-  * filtered greedy convention — traversal restricted to nodes whose label is
-  * a query label, entered from one medoid per query label, admission
-  * restricted to the true range. Because a bucket is usually much longer
-  * than a small range, small/mixed fractions drown in out-of-range
-  * same-label objects — the failure the paper reports.
+  * SeRF before it) does: the full rank range [0, n) is cut by
+  * [[RankBlocks]] into `buckets` consecutive buckets, each assigned a label;
+  * a query's labels are the buckets that overlap its range. Both variants
+  * search with the filtered greedy convention — traversal restricted to
+  * nodes whose label is a query label, entered from one medoid per query
+  * label, admission restricted to the true range. Because a bucket is
+  * usually much longer than a small range, small/mixed fractions drown in
+  * out-of-range same-label objects — the failure the paper reports.
   */
 object FilteredDiskann {
-
-  def bucketOf(n: Int, buckets: Int, i: Int): Int =
-    math.min(buckets - 1, (i.toLong * buckets / n).toInt)
-
-  def bucketBounds(n: Int, buckets: Int): Array[(Int, Int)] =
-    Array.tabulate(buckets) { b =>
-      val lo = (n.toLong * b / buckets).toInt
-      val hi = (n.toLong * (b + 1) / buckets).toInt - 1
-      (lo, hi)
-    }
 
   /** RobustPrune's α of both Vamana builds. */
   private[baselines] val Alpha = 1.2f
@@ -44,20 +34,18 @@ object FilteredDiskann {
 final class FilteredVamana(val vs: VecStore, val buckets: Int, m: Int, efConstruction: Int) {
   val graph: IncrementalGraph = IncrementalGraph.build(
     vs, FilteredDiskann.shuffled(0, vs.n - 1, seed = 19L), m, efConstruction, FilteredDiskann.Alpha)
-  private val bounds = FilteredDiskann.bucketBounds(vs.n, buckets)
+  private val bounds = RankBlocks.bounds(vs.n, buckets)
 
-  def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
-             stats: SearchStats = null): Array[Candidate] = {
+  def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int): Array[Candidate] = {
     vs.checkQuery(q, L, R, k)
-    val bLo = FilteredDiskann.bucketOf(vs.n, buckets, L)
-    val bHi = FilteredDiskann.bucketOf(vs.n, buckets, R)
+    val bLo = RankBlocks.blockOf(vs.n, buckets, L)
+    val bHi = RankBlocks.blockOf(vs.n, buckets, R)
     val entries = (bLo to bHi).map { b => val (lo, hi) = bounds(b); lo + (hi - lo) / 2 }
     val vLo = bounds(bLo)._1
     val vHi = bounds(bHi)._2
     graph.search(q, entries, k, beam,
       visit = i => i >= vLo && i <= vHi,
-      admit = i => i >= L && i <= R,
-      stats = stats)
+      admit = i => i >= L && i <= R)
   }
 
   /** Index bytes: 4 per live neighbor id (paper-style accounting). */
@@ -69,21 +57,20 @@ final class FilteredVamana(val vs: VecStore, val buckets: Int, m: Int, efConstru
   * filtered search walks each overlapped bucket from its own entry).
   */
 final class StitchedVamana(val vs: VecStore, val buckets: Int, m: Int, efConstruction: Int) {
-  private val bounds = FilteredDiskann.bucketBounds(vs.n, buckets)
+  private val bounds = RankBlocks.bounds(vs.n, buckets)
   val graphs: Array[IncrementalGraph] = bounds.zipWithIndex.map { case ((lo, hi), b) =>
     IncrementalGraph.build(vs, FilteredDiskann.shuffled(lo, hi, seed = 23L + b), m, efConstruction,
       FilteredDiskann.Alpha)
   }
 
-  def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
-             stats: SearchStats = null): Array[Candidate] = {
+  def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int): Array[Candidate] = {
     vs.checkQuery(q, L, R, k)
-    val bLo = FilteredDiskann.bucketOf(vs.n, buckets, L)
-    val bHi = FilteredDiskann.bucketOf(vs.n, buckets, R)
+    val bLo = RankBlocks.blockOf(vs.n, buckets, L)
+    val bHi = RankBlocks.blockOf(vs.n, buckets, R)
     val lists = (bLo to bHi).map { b =>
       val (lo, hi) = bounds(b)
       graphs(b).search(q, Seq(lo + (hi - lo) / 2), k, beam,
-        admit = i => i >= L && i <= R, stats = stats)
+        admit = i => i >= L && i <= R)
     }
     BruteForce.mergeTopK(lists, k)
   }

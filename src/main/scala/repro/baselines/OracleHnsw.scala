@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.graph.{Candidate, Hnsw, SearchStats, VecStore}
+import repro.graph.{Candidate, Hnsw, VecStore}
 
 /** Oracle-HNSW (Section 5.2.4): an HNSW explicitly materialized for each
   * query range of the workload — the impractical ideal (materializing all
@@ -17,12 +17,11 @@ final class OracleHnsw(
   val indexes: Map[(Int, Int), Hnsw] =
     ranges.distinct.map { case (l, r) => (l, r) -> Hnsw.build(vs, l, r, m, efConstruction) }.toMap
 
-  def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
-             stats: SearchStats = null): Array[Candidate] = {
+  def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int): Array[Candidate] = {
     vs.checkQuery(q, L, R, k)
     val h = indexes.getOrElse((L, R),
       throw new IllegalArgumentException(s"no oracle index for [$L,$R]"))
-    h.search(q, k, beam, stats = stats)
+    h.search(q, k, beam)
   }
 
   def sizeBytes: Long = indexes.valuesIterator.map(_.sizeBytes).sum

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.graph.{Candidate, Hnsw, SearchStats}
+import repro.graph.{Candidate, Hnsw}
 
 /** Post-filtering (Section 2.2): unrestricted graph-based ANN search on an
   * HNSW over the whole dataset; only in-range objects are admitted into the
@@ -8,10 +8,9 @@ import repro.graph.{Candidate, Hnsw, SearchStats}
   */
 object PostFiltering {
 
-  def search(h: Hnsw, q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
-             stats: SearchStats = null): Array[Candidate] = {
+  def search(h: Hnsw, q: Array[Float], L: Int, R: Int, k: Int, beam: Int): Array[Candidate] = {
     h.vs.checkQuery(q, L, R, k)
-    h.search(q, k, beam, admit = i => i >= L && i <= R, stats = stats)
+    h.search(q, k, beam, admit = i => i >= L && i <= R)
   }
 }
 
@@ -23,13 +22,11 @@ object PostFiltering {
   */
 object InFiltering {
 
-  def search(h: Hnsw, q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
-             stats: SearchStats = null): Array[Candidate] = {
+  def search(h: Hnsw, q: Array[Float], L: Int, R: Int, k: Int, beam: Int): Array[Candidate] = {
     h.vs.checkQuery(q, L, R, k)
     val entry = L + (R - L) / 2
     h.searchBase(q, Seq(entry), k, beam,
       visit = i => i >= L && i <= R,
-      admit = i => i >= L && i <= R,
-      stats = stats)
+      admit = i => i >= L && i <= R)
   }
 }

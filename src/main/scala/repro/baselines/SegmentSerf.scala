@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.graph.{Candidate, IncrementalGraph, SearchStats, VecStore}
+import repro.graph.{Candidate, IncrementalGraph, RankBlocks, VecStore}
 
 /** "2DSegmentGraph" baseline — our reproduction of SeRF (Zuo et al. [89])
   * with MaxLeap-style compression.
@@ -29,8 +29,10 @@ final class SegmentSerf(
     m: Int,
     efConstruction: Int,
 ) {
-  /** Left endpoints of the compressed set; lefts(0) == 0. */
-  val lefts: Array[Int] = Array.tabulate(grid)(j => (vs.n.toLong * j / grid).toInt)
+  /** Left endpoints of the compressed set, the starts of the [[RankBlocks]];
+    * lefts(0) == 0.
+    */
+  val lefts: Array[Int] = RankBlocks.bounds(vs.n, grid).map(_._1)
 
   val graphs: Array[IncrementalGraph] = lefts.map { l =>
     IncrementalGraph.build(vs, l until vs.n, m, efConstruction)
@@ -40,17 +42,15 @@ final class SegmentSerf(
     * multi-attribute extension of 2DSegmentGraph (Post-filtering on A₂).
     */
   def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
-             stats: SearchStats = null,
              extraAdmit: Int => Boolean = _ => true): Array[Candidate] = {
     vs.checkQuery(q, L, R, k)
-    // Largest recorded left endpoint <= L.
-    var j = lefts.length - 1
-    while (lefts(j) > L) j -= 1
+    // Largest recorded left endpoint <= L: the start of L's block.
+    val j = RankBlocks.blockOf(vs.n, grid, L)
     val base = lefts(j)
     val t = R + 1 - base // number of inserted points alive at query time
     val entry = base // first inserted point of this graph — always alive
     graphs(j).search(q, Seq(entry), k, beam, t,
-      admit = i => i >= L && i <= R && extraAdmit(i), stats = stats)
+      admit = i => i >= L && i <= R && extraAdmit(i))
   }
 
   /** Compressed size: stored edges with their lifespan annotations, 12

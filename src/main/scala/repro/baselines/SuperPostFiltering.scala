@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.graph.{BruteForce, Candidate, Hnsw, SearchStats, VecStore}
+import repro.graph.{BruteForce, Candidate, Hnsw, VecStore}
 import scala.collection.mutable
 
 /** SuperPostfiltering (Engels et al., discussed in Sections 2.2/3.4): preset
@@ -44,12 +44,11 @@ final class SuperPostFiltering(val vs: VecStore, m: Int, efConstruction: Int) {
       .filter { case (lo, hi, _) => lo <= L && R <= hi }
       .minBy { case (lo, hi, _) => (hi - lo, lo) }
 
-  def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int,
-             stats: SearchStats = null): Array[Candidate] = {
+  def search(q: Array[Float], L: Int, R: Int, k: Int, beam: Int): Array[Candidate] = {
     vs.checkQuery(q, L, R, k)
     val (lo, hi, h) = coveringWindow(L, R)
     if (hi - lo + 1 <= 2 * k) BruteForce.topK(vs, q, L, R, k)
-    else h.search(q, k, beam, admit = i => i >= L && i <= R, stats = stats)
+    else h.search(q, k, beam, admit = i => i >= L && i <= R)
   }
 
   def sizeBytes: Long = windows.map(_._3.sizeBytes).sum

@@ -72,26 +72,23 @@ object BenchUtil {
     CurvePoint(beam, GroundTruth.meanRecall(gt, results), nQueries / best)
   }
 
+  /** The beams of every sweep, ascending. */
   val defaultBeams: Seq[Int] = Seq(10, 20, 40, 80, 160, 320, 640)
 
-  /** Full sweep with one warm-up pass at the smallest beam (JIT). Stops
-    * early once recall exceeds `stopRecall` (the curve is flat after that).
+  /** Full sweep over [[defaultBeams]] with one warm-up pass at the smallest
+    * beam (JIT). Stops early once recall reaches 0.995 (the curve is flat
+    * after that).
     */
-  def sweep(
-      search: (Int, Int) => Array[Int],
-      nQueries: Int,
-      gt: Array[Array[Int]],
-      beams: Seq[Int] = defaultBeams,
-      stopRecall: Double = 0.995,
-  ): Seq[CurvePoint] = {
+  def sweep(search: (Int, Int) => Array[Int], nQueries: Int,
+            gt: Array[Array[Int]]): Seq[CurvePoint] = {
     var q = 0
-    while (q < nQueries) { search(q, beams.head); q += 1 } // warm-up
+    while (q < nQueries) { search(q, defaultBeams.head); q += 1 } // warm-up
     val out = Seq.newBuilder[CurvePoint]
     var done = false
-    for (b <- beams if !done) {
+    for (b <- defaultBeams if !done) {
       val p = measure(search, nQueries, b, gt)
       out += p
-      if (p.recall >= stopRecall) done = true
+      if (p.recall >= 0.995) done = true
     }
     out.result()
   }

@@ -1,18 +1,18 @@
 package repro.data
 
 import org.apache.spark.sql.SparkSession
-import repro.graph.{BruteForce, VecStore}
+import repro.graph.{BruteForce, RankBlocks, VecStore}
 
 /** Exact range-filtered top-k ground truth.
   *
   * Both paths are [[BruteForce.topK]], the exact (distance, id)-ordered
-  * scan. The Spark path cuts the ranks into `defaultParallelism` contiguous
-  * blocks, one task each; a task reads the broadcast vectors and queries
-  * and returns its block's top-k per query (at most blocks × queries × k
-  * candidates cross the wire, with no shuffle), and the driver merges them
-  * with [[BruteForce.mergeTopK]]. Tests assert the Spark result equals both
-  * the local scan and the DuckDB oracle; every recall number in the benches
-  * is measured against this.
+  * scan. The Spark path cuts the ranks into `defaultParallelism`
+  * [[RankBlocks]], one task each; a task reads the broadcast vectors and
+  * queries and returns its block's top-k per query (at most blocks ×
+  * queries × k candidates cross the wire, with no shuffle), and the driver
+  * merges them with [[BruteForce.mergeTopK]]. Tests assert the Spark result
+  * equals both the local scan and the DuckDB oracle; every recall number in
+  * the benches is measured against this.
   */
 object GroundTruth {
 
@@ -36,13 +36,11 @@ object GroundTruth {
                    ranges2: Array[(Int, Int)] = null): Array[Array[Int]] = {
     require(k >= 1, s"k must be >= 1, got $k")
     val sc = spark.sparkContext
-    val blocks = sc.defaultParallelism
+    val blocks = RankBlocks.bounds(vs.n, sc.defaultParallelism)
     val input = sc.broadcast((vs, queries, ranges, attr2Rank, ranges2))
 
-    val partials = sc.parallelize(0 until blocks, blocks).map { b =>
+    val partials = sc.parallelize(blocks.toSeq, blocks.length).map { case (lo, hi) =>
       val (v, qs, rs, a2, rs2) = input.value
-      val lo = (v.n.toLong * b / blocks).toInt
-      val hi = (v.n.toLong * (b + 1) / blocks).toInt - 1
       Array.tabulate(qs.length) { qid =>
         val (l, r) = rs(qid)
         val pred: Int => Boolean =

@@ -32,29 +32,28 @@ object Workload {
     }
   }
 
-  /** Mixed workload: subset i of 10 gets fraction 2⁻ⁱ (i ∈ [0, maxExp]). */
-  def mixed(n: Int, nQueries: Int, maxExp: Int = 9, seed: Long = 11L): Array[RangeQuery] = {
+  /** Query subsets of the mixed workloads; subset i gets fraction 2⁻ⁱ. */
+  private val Groups = 10
+
+  /** Mixed workload: subset i of 10 gets fraction 2⁻ⁱ (i ∈ [0, 9]). */
+  def mixed(n: Int, nQueries: Int, seed: Long = 11L): Array[RangeQuery] = {
     val rnd = new SplittableRandom(seed)
-    val nGroups = maxExp + 1
     Array.tabulate(nQueries) { qid =>
-      val exp = qid % nGroups
+      val exp = qid % Groups
       val (l, r) = randomRange(n, math.max(1, n >> exp), rnd)
       RangeQuery(qid, l, r)
     }
   }
 
   /** Shared-range mixed workload for the Oracle-HNSW study (Section 5.2.4):
-    * `nRanges` distinct ranges, one per query subset, so only `nRanges`
-    * oracle indexes must be materialized. Returns (ranges, perQueryRange).
+    * 10 distinct ranges, one per query subset, so only 10 oracle indexes
+    * must be materialized. Returns (ranges, perQueryRange).
     */
-  def sharedMixed(n: Int, nQueries: Int, nRanges: Int = 10, maxExp: Int = 9,
-                  seed: Long = 13L): (Array[(Int, Int)], Array[RangeQuery]) = {
-    val rnd = new SplittableRandom(seed)
-    val ranges = Array.tabulate(nRanges) { i =>
-      randomRange(n, math.max(1, n >> (i % (maxExp + 1))), rnd)
-    }
+  def sharedMixed(n: Int, nQueries: Int): (Array[(Int, Int)], Array[RangeQuery]) = {
+    val rnd = new SplittableRandom(13L)
+    val ranges = Array.tabulate(Groups)(i => randomRange(n, math.max(1, n >> i), rnd))
     val qs = Array.tabulate(nQueries) { qid =>
-      val (l, r) = ranges(qid % nRanges)
+      val (l, r) = ranges(qid % Groups)
       RangeQuery(qid, l, r)
     }
     (ranges, qs)

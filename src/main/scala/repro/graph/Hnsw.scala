@@ -46,15 +46,14 @@ final class Hnsw private (
     */
   private def searchLevel(q: Array[Float], entriesIn: Seq[Int], beam: Int, k: Int, level: Int,
                           visit: Int => Boolean = _ => true,
-                          admit: Int => Boolean = BeamSearch.AdmitAll,
-                          stats: SearchStats = null): Array[Candidate] = {
+                          admit: Int => Boolean = BeamSearch.AdmitAll): Array[Candidate] = {
     val a = links(level)
     val c = cap(level)
     val scratch = new Array[Int](c)
     BeamSearch.search(
       q, (i: Int) => vs.dist2(i, q), entriesIn, beam, k,
       neighbors = (u: Int) => FlatAdjacency.copy(a, c, u - lo, scratch),
-      visit = visit, admit = admit, stats = stats,
+      visit = visit, admit = admit,
     )
   }
 
@@ -103,17 +102,11 @@ final class Hnsw private (
     if (lvl > entryLevel) { entryPoint = u; entryLevel = lvl }
   }
 
-  /** ANN search. `visit`/`admit` plug in the range-filtering strategies. */
-  def search(
-      q: Array[Float],
-      k: Int,
-      ef: Int,
-      visit: Int => Boolean = _ => true,
-      admit: Int => Boolean = BeamSearch.AdmitAll,
-      stats: SearchStats = null,
-  ): Array[Candidate] = {
+  /** ANN search; `admit` plugs in the Post-filtering strategies. */
+  def search(q: Array[Float], k: Int, ef: Int,
+             admit: Int => Boolean = BeamSearch.AdmitAll): Array[Candidate] = {
     if (entryPoint < 0) return Array.empty
-    searchBase(q, Seq(descend(q, 0)), k, ef, visit, admit, stats)
+    searchBase(q, Seq(descend(q, 0)), k, ef, admit = admit)
   }
 
   /** Base-layer-only search from caller-chosen entry points — used by the
@@ -128,9 +121,8 @@ final class Hnsw private (
       ef: Int,
       visit: Int => Boolean = _ => true,
       admit: Int => Boolean = BeamSearch.AdmitAll,
-      stats: SearchStats = null,
   ): Array[Candidate] =
-    searchLevel(q, entries, math.max(ef, k), k, 0, visit, admit, stats)
+    searchLevel(q, entries, math.max(ef, k), k, 0, visit, admit)
 
   /** Total directed edges across all levels. */
   def edgeCount: Long = links.iterator.map(_.count(_ >= 0).toLong).sum

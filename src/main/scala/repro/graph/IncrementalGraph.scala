@@ -105,11 +105,10 @@ final class IncrementalGraph(
     */
   def search(q: Array[Float], entries: Seq[Int], k: Int, ef: Int, t: Int = step,
              visit: Int => Boolean = _ => true,
-             admit: Int => Boolean = BeamSearch.AdmitAll,
-             stats: SearchStats = null): Array[Candidate] = {
+             admit: Int => Boolean = BeamSearch.AdmitAll): Array[Candidate] = {
     val scratch = new Array[Int](m + 1)
     BeamSearch.search(q, (i: Int) => vs.dist2(i, q), entries, math.max(ef, k), k,
-      neighbors = (x: Int) => fillAsOf(x, t, scratch), visit = visit, admit = admit, stats = stats)
+      neighbors = (x: Int) => fillAsOf(x, t, scratch), visit = visit, admit = admit)
   }
 
   /** Edges in the log, live and dead — the compressed representation SeRF

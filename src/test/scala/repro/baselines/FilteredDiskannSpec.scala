@@ -3,7 +3,7 @@ package repro.baselines
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
 import repro.data.GroundTruth
-import repro.graph.BruteForce
+import repro.graph.{BruteForce, RankBlocks}
 
 class FilteredDiskannSpec extends AnyFunSuite {
 
@@ -13,18 +13,37 @@ class FilteredDiskannSpec extends AnyFunSuite {
   private lazy val fv = new FilteredVamana(vs, buckets = 10, m = 10, efConstruction = 60)
   private lazy val sv = new StitchedVamana(vs, buckets = 10, m = 10, efConstruction = 60)
 
-  test("bucketOf maps ranks into 10 ordered buckets") {
-    assert(FilteredDiskann.bucketOf(n, 10, 0) == 0)
-    assert(FilteredDiskann.bucketOf(n, 10, n - 1) == 9)
-    val bs = (0 until n).map(FilteredDiskann.bucketOf(n, 10, _))
+  test("blockOf maps ranks into 10 ordered buckets") {
+    assert(RankBlocks.blockOf(n, 10, 0) == 0)
+    assert(RankBlocks.blockOf(n, 10, n - 1) == 9)
+    val bs = (0 until n).map(RankBlocks.blockOf(n, 10, _))
     assert(bs.sliding(2).forall { case Seq(a, b) => b >= a; case _ => true })
     assert(bs.distinct.length == 10)
   }
 
-  test("bucketBounds tile the rank space") {
-    val bounds = FilteredDiskann.bucketBounds(n, 10)
-    assert(bounds.head._1 == 0 && bounds.last._2 == n - 1)
-    for (Array((_, h), (l2, _)) <- bounds.sliding(2)) assert(l2 == h + 1)
+  // When the part count divides n, every rounding of a rank's block agrees
+  // with the bounds, so this spec's n = 500 (10 buckets) and
+  // ResultContractSpec's 512 (8) cannot catch a blockOf that disagrees with
+  // bounds. Hence the uneven sizes here and at n = 70 below.
+  test("block bounds tile the rank space and blockOf inverts them") {
+    for ((bn, parts) <- Seq((4096, 10), (2048, 10), (700, 6), (500, 10), (70, 6))) {
+      val bounds = RankBlocks.bounds(bn, parts)
+      assert(bounds.head._1 == 0 && bounds.last._2 == bn - 1, s"n = $bn, $parts parts")
+      for (Array((_, h), (l2, _)) <- bounds.sliding(2)) assert(l2 == h + 1, s"n = $bn, $parts parts")
+      for (i <- 0 until bn) {
+        val (lo, hi) = bounds(RankBlocks.blockOf(bn, parts, i))
+        assert(lo <= i && i <= hi, s"rank $i at n = $bn, $parts parts")
+      }
+    }
+  }
+
+  test("StitchedVamana: each bucket's first rank is found alone when 6 buckets do not divide n = 70") {
+    val small = TestData.clusteredVs(70, 8, clusters = 3, seed = 215)
+    val stitched = new StitchedVamana(small, buckets = 6, m = 10, efConstruction = 60)
+    for ((lo, hi) <- RankBlocks.bounds(70, 6)) {
+      val got = stitched.search(queries(0), lo, lo, 10, hi - lo + 1).map(_.id)
+      assert(got.toSeq == Seq(lo), s"range [$lo, $lo]")
+    }
   }
 
   for ((name, search) <- Seq[(String, (Array[Float], Int, Int, Int, Int) => Array[repro.graph.Candidate])](
@@ -42,7 +61,7 @@ class FilteredDiskannSpec extends AnyFunSuite {
 
     test(s"$name: bucket-aligned large ranges reach >= 0.8 recall") {
       // Range = buckets 2..7 exactly: labels match the range perfectly.
-      val bounds = FilteredDiskann.bucketBounds(n, 10)
+      val bounds = RankBlocks.bounds(n, 10)
       val (l, r) = (bounds(2)._1, bounds(7)._2)
       val gt = queries.map(q => BruteForce.topKIds(vs, q, l, r, 10))
       val got = queries.map(q => search(q, l, r, 10, 150).map(_.id))
@@ -50,7 +69,7 @@ class FilteredDiskannSpec extends AnyFunSuite {
     }
 
     test(s"$name: ranges far smaller than a bucket degrade at practical beams") {
-      val bounds = FilteredDiskann.bucketBounds(n, 10)
+      val bounds = RankBlocks.bounds(n, 10)
       val rnd = new java.util.Random(214)
       val len = 12
       val ranges = queries.map { _ =>
@@ -68,7 +87,7 @@ class FilteredDiskannSpec extends AnyFunSuite {
   }
 
   test("StitchedVamana edges stay within their bucket (block-diagonal stitch)") {
-    val bounds = FilteredDiskann.bucketBounds(n, 10)
+    val bounds = RankBlocks.bounds(n, 10)
     for ((g, b) <- sv.graphs.zipWithIndex; u <- bounds(b)._1 to bounds(b)._2)
       assert(g.neighbors(u).forall(v => v >= bounds(b)._1 && v <= bounds(b)._2))
   }

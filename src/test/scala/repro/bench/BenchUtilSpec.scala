@@ -42,7 +42,7 @@ class BenchUtilSpec extends AnyFunSuite {
 
   test("sweep stops early at stopRecall") {
     val gt = Array(Array(1))
-    val curve = sweep((_, _) => Array(1), 1, gt, beams = Seq(5, 10, 20))
+    val curve = sweep((_, _) => Array(1), 1, gt)
     assert(curve.length == 1) // first beam already at recall 1.0
   }
 

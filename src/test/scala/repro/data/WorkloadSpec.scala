@@ -40,14 +40,14 @@ class WorkloadSpec extends AnyFunSuite {
   }
 
   test("sharedMixed reuses exactly nRanges distinct ranges") {
-    val (ranges, qs) = Workload.sharedMixed(n, 100, nRanges = 10)
+    val (ranges, qs) = Workload.sharedMixed(n, 100)
     assert(ranges.length == 10)
     assert(qs.map(q => (q.L, q.R)).toSet == ranges.toSet)
     assert(qs.forall(q => ranges.contains((q.L, q.R))))
   }
 
   test("sharedMixed ranges span multiple scales") {
-    val (ranges, _) = Workload.sharedMixed(n, 100, nRanges = 10)
+    val (ranges, _) = Workload.sharedMixed(n, 100)
     val lens = ranges.map { case (l, r) => r - l + 1 }
     assert(lens.max > lens.min * 4)
   }

@@ -50,7 +50,7 @@ class BeamSearchSpec extends AnyFunSuite {
   }
 
   test("negative id terminates a neighbor list early") {
-    val adj: Int => Array[Int] = u => Array(1, -1, 2, 3) // 2, 3 must be ignored
+    val adj: Int => Array[Int] = _ => Array(1, -1, 2, 3) // 2, 3 must be ignored
     val q = queries(3)
     val got = BeamSearch.search(q, i => vs.dist2(i, q), Seq(0), beam = 10, k = 10,
       neighbors = adj)
