@@ -115,7 +115,7 @@ object BenchUtil {
   def maxRecall(curve: Seq[CurvePoint]): Double =
     if (curve.isEmpty) 0.0 else curve.map(_.recall).max
 
-  /** Fixed-width table printer; rows land in bench_output.txt via tee. */
+  /** Fixed-width table printer. */
   def formatTable(title: String, header: Seq[String], rows: Seq[Seq[String]]): String = {
     val all = header +: rows
     val widths = header.indices.map(i => all.map(r => r(i).length).max)
@@ -126,5 +126,5 @@ object BenchUtil {
   }
 
   def fmtQps(v: Option[Double]): String = v.map(q => f"$q%.0f").getOrElse("fail")
-  def fmtMB(bytes: Long): String = f"${bytes / 1024.0 / 1024.0}%.2f"
+  def fmtMB(bytes: Long): String = f"${bytes / 1e6}%.2f"
 }

@@ -55,9 +55,9 @@ object MethodSuite {
     val (irgGraphs, tIrg) = cpuSeconds(repro.core.ElementalGraphBuilder.build(vs, M, EF))
     val irg = new IRangeGraph(vs, irgGraphs)
     val (sparkGraphs, tSparkIrg) = seconds(DistributedBuilder.build(spark, vs, M, EF))
-    require(sparkGraphs.numLayers == irgGraphs.numLayers &&
-      irgGraphs.layers.indices.forall(i =>
-        java.util.Arrays.equals(sparkGraphs.layers(i), irgGraphs.layers(i))),
+    val (sparkLayers, irgLayers) = (sparkGraphs.layers, irgGraphs.layers)
+    require(sparkLayers.length == irgLayers.length &&
+      irgLayers.indices.forall(i => java.util.Arrays.equals(sparkLayers(i), irgLayers(i))),
       "Spark and local builds disagree - determinism broken")
     irgGraphs.validate(vs)
 

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{BeamSearch, BruteForce, Candidate, FlatAdjacency, SearchStats, VecStore}
+import repro.graph.{BeamSearch, BruteForce, Candidate, SearchStats, VecStore}
 
 /** Ablation baseline (Section 5.2.2): the classical segment-tree way to
   * answer a range query — decompose [L, R] into its O(log n) canonical
@@ -21,13 +21,12 @@ object BasicSearch {
         if (stats != null) stats.distComputations += 1
         Array(Candidate(l, vs.dist2(l, q)))
       } else {
-        val adj = graphs.layers(lay)
         val scratch = new Array[Int](m)
         BeamSearch.search(
           q, (i: Int) => vs.dist2(i, q),
           entries = Seq(SegmentTree.mid(l, r), l, r).distinct,
           beam = beam, k = k,
-          neighbors = (u: Int) => FlatAdjacency.copy(adj, m, u, scratch),
+          neighbors = (u: Int) => graphs.neighborsInto(lay, l, u, scratch),
           stats = stats,
         )
       }

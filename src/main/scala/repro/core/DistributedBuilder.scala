@@ -33,15 +33,9 @@ object DistributedBuilder {
 
     // Merge subtree adjacency into the global layers (local ids -> + l).
     val layers = Array.fill(depth)(Array.fill(n * m)(-1))
-    for ((l, sub) <- built; d <- sub.indices) {
-      val src = sub(d)
-      val dst = layers(cut + d)
-      var i = 0
-      while (i < src.length) {
-        val v = src(i)
-        dst(l * m + i) = if (v < 0) -1 else v + l
-        i += 1
-      }
+    for ((l, sub) <- built; d <- sub.indices; i <- sub(d).indices) {
+      val v = sub(d)(i)
+      layers(cut + d)(l * m + i) = if (v < 0) -1 else v + l
     }
 
     ElementalGraphBuilder.buildLayers(vs, layers, m, ef, cut - 1)

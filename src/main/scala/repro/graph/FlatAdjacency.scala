@@ -1,11 +1,11 @@
 package repro.graph
 
-/** The one adjacency layout of every graph in the repo: node i's links
-  * occupy slots `[i*cap, (i+1)*cap)` of a flat `Array[Int]`, neighbor ids
-  * first, then -1 padding up to the cap. Ids are dense ranks, so a node is
-  * found by arithmetic, and a search reads a node's links by copying its
-  * slots into a caller-owned scratch buffer that `BeamSearch` stops reading
-  * at the first -1.
+/** The adjacency layout of `Hnsw` and of the elemental-graph builders'
+  * global-id working layers: node i's links occupy slots
+  * `[i*cap, (i+1)*cap)` of a flat `Array[Int]`, neighbor ids first, then -1
+  * padding up to the cap. Ids are dense ranks, so a node is found by
+  * arithmetic, and a search reads a node's links by copying its slots into
+  * a caller-owned scratch buffer that `BeamSearch` stops reading at the first -1.
   */
 object FlatAdjacency {
 

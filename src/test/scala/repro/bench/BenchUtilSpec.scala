@@ -61,7 +61,8 @@ class BenchUtilSpec extends AnyFunSuite {
   test("fmt helpers") {
     assert(fmtQps(None) == "fail")
     assert(fmtQps(Some(1234.6)) == "1235")
-    assert(fmtMB(1048576L) == "1.00")
+    assert(fmtMB(1000000L) == "1.00")
+    assert(fmtMB(1572864L) == "1.57")
   }
 
   test("cpuSeconds keeps a parallel stream inside its body on one thread") {

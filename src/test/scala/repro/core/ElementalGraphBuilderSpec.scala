@@ -108,7 +108,7 @@ class ElementalGraphBuilderSpec extends AnyFunSuite {
   }
 
   test("edgeCount and sizeBytes agree") {
-    assert(g.sizeBytes == g.edgeCount * 4)
+    assert(g.sizeBytes == g.edgeCount * 2)
     assert(g.edgeCount > 0)
   }
 
