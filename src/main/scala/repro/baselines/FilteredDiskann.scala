@@ -8,8 +8,8 @@ import repro.graph.{BruteForce, Candidate, IncrementalGraph, RankBlocks, VecStor
   * [[RankBlocks]] into `buckets` consecutive buckets, each assigned a label;
   * a query's labels are the buckets that overlap its range. Both variants
   * search with the filtered greedy convention — traversal restricted to
-  * nodes whose label is a query label, entered from one medoid per query
-  * label, admission restricted to the true range. Because a bucket is
+  * nodes whose label is a query label, entered at the middle rank of each
+  * query-label bucket, admission restricted to the true range. Because a bucket is
   * usually much longer than a small range, small/mixed fractions drown in
   * out-of-range same-label objects — the failure the paper reports.
   */

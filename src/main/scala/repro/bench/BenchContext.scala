@@ -10,8 +10,8 @@ import scala.collection.mutable
   * and workloads) don't rebuild anything.
   *
   * Scale knobs come from the environment so the same harness serves smoke
-  * tests (`REPRO_BENCH_N=1024`) and the full bench run (default n = 4096,
-  * 200 queries, k = 10 — the paper's k).
+  * tests (`REPRO_BENCH_N=2048 REPRO_BENCH_Q=100`) and the full bench run
+  * (default n = 4096, 200 queries, k = 10 — the paper's k).
   */
 object BenchContext {
 

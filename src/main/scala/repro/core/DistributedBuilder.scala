@@ -28,7 +28,7 @@ object DistributedBuilder {
     val segs = SegmentTree.segmentsAtLayer(n, cut)
     val built = spark.sparkContext
       .parallelize(segs.map { case (l, r) => (l, vs.slice(l, r + 1)) }, segs.length)
-      .map { case (l, slice) => (l, ElementalGraphBuilder.build(slice, m, ef).layers) }
+      .map { case (l, slice) => (l, ElementalGraphBuilder.buildAll(slice, m, ef)) }
       .collect()
 
     // Merge subtree adjacency into the global layers (local ids -> + l).

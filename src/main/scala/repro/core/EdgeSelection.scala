@@ -53,7 +53,7 @@ object EdgeSelection {
       // skipping variant leaves this layer to the child. (A covered segment
       // never qualifies: its child's intersection is strictly smaller.)
       if (!skip || SegmentTree.intersectLen(lc, rc, L, R) != SegmentTree.intersectLen(l, r, L, R)) {
-        count = appendInRange(g, lay, u, l, L, R, out, count, seen)
+        count = g.appendInRange(lay, u, l, L, R, out, count, seen)
         done = L <= l && r <= R
       }
       l = lc; r = rc; lay += 1
@@ -65,30 +65,4 @@ object EdgeSelection {
   /** Forwarder kept for the benchmark harness (`perfbench/src/QueryTrace.scala`). */
   def selectNoSkip(g: ElementalGraphs, u: Int, L: Int, R: Int, out: Array[Int]): Int =
     select(g, u, L, R, out, skip = false)
-
-  /** Append u's in-range layer-`lay` neighbors not yet in `seen` to
-    * out[count..), stopping at m; l is the left end of u's layer-`lay` segment.
-    */
-  private def appendInRange(g: ElementalGraphs, lay: Int, u: Int, l: Int, L: Int, R: Int,
-                            out: Array[Int], count0: Int, seen: EpochMarks): Int = {
-    val m = g.m
-    val lo = g.low(lay) // this layer's planes, hoisted out of the loop
-    val hi = g.high(lay)
-    val base = u * m
-    val from = L - l
-    val span = R - L
-    var count = count0
-    var j = 0
-    while (j < m && count < m) {
-      val off = ElementalGraphs.offset(lo, hi, base + j)
-      if (off < 0) return count // empty slot: the list has ended
-      // L <= l + off <= R as one unsigned compare.
-      if (Integer.compareUnsigned(off - from, span) <= 0 && seen.add(l + off)) {
-        out(count) = l + off
-        count += 1
-      }
-      j += 1
-    }
-    count
-  }
 }

@@ -93,12 +93,14 @@ object ElementalGraphBuilder {
     FlatAdjacency.write(layers(lay), m, u, RngPrune.prune(vs, cands, m))
   }
 
-  /** Driver-local build of the full index over `vs` (ranks = ids). */
-  def build(vs: VecStore, m: Int, ef: Int): ElementalGraphs = {
-    val n = vs.n
-    val depth = SegmentTree.depth(n)
-    val layers = Array.fill(depth)(Array.fill(n * m)(-1))
+  /** Every layer of the index over `vs` (ranks = ids) as -1-padded global-id arrays. */
+  def buildAll(vs: VecStore, m: Int, ef: Int): Array[Array[Int]] = {
+    val depth = SegmentTree.depth(vs.n)
+    val layers = Array.fill(depth)(Array.fill(vs.n * m)(-1))
     buildLayers(vs, layers, m, ef, depth - 1)
-    new ElementalGraphs(n, m, layers)
+    layers
   }
+
+  /** Driver-local build of the full index over `vs`. */
+  def build(vs: VecStore, m: Int, ef: Int): ElementalGraphs = new ElementalGraphs(vs.n, m, buildAll(vs, m, ef))
 }

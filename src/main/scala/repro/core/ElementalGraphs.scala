@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{SortedList, VecStore}
+import repro.graph.{EpochMarks, SortedList, VecStore}
 
 /** Storage for all elemental graphs of the segment tree (Section 3.2).
   *
@@ -10,42 +10,52 @@ import repro.graph.{SortedList, VecStore}
   * explicit. Each neighbor is an offset from the left end l of u's segment,
   * which holds at most ⌈n / 2^lay⌉ ranks: 16 bits, all ones when empty, plus a
   * high 16-bit plane on layers whose segments can exceed 65535 ranks. The
-  * constructor encodes the builders' -1-padded global ranks and drops them.
+  * constructor checks and encodes the builders' -1-padded global ranks and
+  * drops them; no other class reads the stored form.
   */
 final class ElementalGraphs(
     val n: Int,
     val m: Int,
     globalLayers: Array[Array[Int]],
 ) extends Serializable {
+  require(globalLayers.length == SegmentTree.depth(n),
+    s"an index over $n ranks has ${SegmentTree.depth(n)} layers, got ${globalLayers.length}")
   require(globalLayers.forall(_.length == n * m), "each layer must be a flat n*m array")
 
   val numLayers: Int = globalLayers.length
 
   import ElementalGraphs.Empty
-  private[core] val low = Array.fill(numLayers)(new Array[Char](n * m))
-  private[core] val high = Array.tabulate(numLayers)(lay =>
+  private val low = Array.fill(numLayers)(new Array[Char](n * m))
+  private val high = Array.tabulate(numLayers)(lay =>
     if (((n - 1) >> lay) >= Empty) new Array[Char](n * m) else null)
 
   locally {
     val src = globalLayers // a local, so that no field keeps the input
-    forEachNode { (lay, l, u) =>
+    forEachNode { (lay, l, r, u) =>
       for (s <- u * m until (u + 1) * m) {
         val v = src(lay)(s)
         val off = if (v == -1) -1 else v - l
-        require(v == -1 || (off >= 0 && (high(lay) != null || off < Empty)),
-          s"layer $lay slot $s: neighbor $v cannot be stored as an offset from segment start $l")
+        def at = s"layer $lay slot $s (node $u, segment [$l,$r])"
+        if (v != -1) {
+          require(l <= v && v <= r, s"$at: neighbor $v outside the segment")
+          require(v != u, s"$at: self-loop")
+          require(s == u * m || src(lay)(s - 1) != -1, s"$at: neighbor $v after an empty slot")
+        } // then off <= r - l <= (n - 1) >> lay, which is below Empty on a 16-bit layer
         low(lay)(s) = off.toChar
         if (high(lay) != null) high(lay)(s) = (off >>> 16).toChar
       }
     }
   }
 
-  /** f(lay, l, u) for every layer and rank u; l is the left end of u's segment there (or its leaf). */
-  private def forEachNode(f: (Int, Int, Int) => Unit): Unit =
-    for (lay <- 0 until numLayers; u <- 0 until n) f(lay, SegmentTree.segmentAt(n, lay, u)._1, u)
+  /** f(lay, l, r, u) for every layer and rank u; [l, r] is u's segment there (or its leaf). */
+  private def forEachNode(f: (Int, Int, Int, Int) => Unit): Unit =
+    for (lay <- 0 until numLayers; u <- 0 until n) {
+      val (l, r) = SegmentTree.segmentAt(n, lay, u)
+      f(lay, l, r, u)
+    }
 
   /** Offset of slot s of layer `lay` from the left end l of its node's segment; -1 if empty. */
-  private[core] def offset(lay: Int, s: Int): Int = ElementalGraphs.offset(low(lay), high(lay), s)
+  private def offset(lay: Int, s: Int): Int = ElementalGraphs.offset(low(lay), high(lay), s)
 
   /** u's layer-`lay` neighbors as global ranks in out[0, m), -1 after the last; l as in `offset`. */
   private[core] def neighborsInto(lay: Int, l: Int, u: Int, out: Array[Int]): Array[Int] = {
@@ -53,11 +63,36 @@ final class ElementalGraphs(
     out
   }
 
+  /** Algorithm 1's read of layer `lay`: append u's neighbors in [L, R] not yet in `seen`
+    * to out[count0..), stopping at m; l as in `offset`. Returns the new count.
+    */
+  private[core] def appendInRange(lay: Int, u: Int, l: Int, L: Int, R: Int,
+                                  out: Array[Int], count0: Int, seen: EpochMarks): Int = {
+    val lo = low(lay) // this layer's planes, hoisted out of the loop
+    val hi = high(lay)
+    val base = u * m
+    val from = L - l
+    val span = R - L
+    var count = count0
+    var j = 0
+    while (j < m && count < m) {
+      val off = ElementalGraphs.offset(lo, hi, base + j)
+      if (off < 0) return count // empty slot: the list has ended
+      // L <= l + off <= R as one unsigned compare.
+      if (Integer.compareUnsigned(off - from, span) <= 0 && seen.add(l + off)) {
+        out(count) = l + off
+        count += 1
+      }
+      j += 1
+    }
+    count
+  }
+
   /** Every layer decoded to the constructor's input layout, as a fresh copy. */
   def layers: Array[Array[Int]] = {
     val out = Array.fill(numLayers)(new Array[Int](n * m))
     val node = new Array[Int](m)
-    forEachNode((lay, l, u) => System.arraycopy(neighborsInto(lay, l, u, node), 0, out(lay), u * m, m))
+    forEachNode((lay, l, _, u) => System.arraycopy(neighborsInto(lay, l, u, node), 0, out(lay), u * m, m))
     out
   }
 
@@ -73,33 +108,21 @@ final class ElementalGraphs(
   /** Total stored directed edges. */
   def edgeCount: Long = (0 until numLayers).map(edges).sum
 
-  /** Check the structural invariants of every layer over `vs`: each
-    * neighbor of u lies in u's segment of that layer, with no self-loop;
-    * neighbors ascend strictly by (distance to u, id), the order of
-    * `SortedList.less`, so none repeats; the empty slots are contiguous.
+  /** Check the one invariant that needs `vs` (the constructor checks the rest): each list
+    * ascends strictly by (distance to u, id), the order of `SortedList.less`, so none repeats.
     * Throws `IllegalStateException` naming the first violation.
     */
   def validate(vs: VecStore): Unit = {
     def fail(msg: String): Nothing = throw new IllegalStateException(msg)
     if (vs.n != n) fail(s"graphs over $n ranks, vectors over ${vs.n}")
-    for ((a, lay) <- layers.zipWithIndex; u <- 0 until n) {
-      val (l, r) = SegmentTree.segmentAt(n, lay, u)
-      val base = u * m
-      val d = degree(lay, u)
-      var i = 0
-      while (i < m) {
-        val v = a(base + i)
-        def at = s"layer $lay node $u slot $i"
-        if (i >= d) { if (v != -1) fail(s"$at: $v after the -1 padding") }
-        else {
-          if (v < l || v > r) fail(s"$at: neighbor $v outside segment [$l,$r]")
-          if (v == u) fail(s"$at: self-loop")
-          if (i > 0) {
-            val p = a(base + i - 1)
-            if (!SortedList.less(vs.dist2(u, p), p, vs.dist2(u, v), v))
-              fail(s"$at: $v not after $p in (distance, id) order")
-          }
-        }
+    val node = new Array[Int](m)
+    forEachNode { (lay, l, _, u) =>
+      neighborsInto(lay, l, u, node)
+      var i = 1
+      while (i < m && node(i) >= 0) {
+        val (p, v) = (node(i - 1), node(i))
+        if (!SortedList.less(vs.dist2(u, p), p, vs.dist2(u, v), v))
+          fail(s"layer $lay node $u slot $i: $v not after $p in (distance, id) order")
         i += 1
       }
     }
@@ -110,10 +133,10 @@ final class ElementalGraphs(
 }
 
 object ElementalGraphs {
-  private[core] final val Empty = 0xFFFF
+  private final val Empty = 0xFFFF
 
   /** Slot s of one layer's planes (`hi` null on a 16-bit layer) as an offset; -1 if empty. */
-  private[core] def offset(lo: Array[Char], hi: Array[Char], s: Int): Int = {
+  private def offset(lo: Array[Char], hi: Array[Char], s: Int): Int = {
     val low: Int = lo(s)
     if (hi != null) (hi(s) << 16) | low else if (low == Empty) -1 else low
   }

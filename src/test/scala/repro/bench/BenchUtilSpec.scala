@@ -12,7 +12,7 @@ class BenchUtilSpec extends AnyFunSuite {
 
   test("qpsAtRecall returns the first point's qps when it already qualifies") {
     val curve = Seq(CurvePoint(10, 0.95, 1000), CurvePoint(20, 0.99, 600))
-    assert(qpsAtRecall(curve, 0.9).contains(1000))
+    assert(qpsAtRecall(curve, 0.9).contains(1000.0))
   }
 
   test("qpsAtRecall interpolates between bracketing points") {

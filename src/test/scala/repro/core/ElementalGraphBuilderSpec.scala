@@ -101,10 +101,10 @@ class ElementalGraphBuilderSpec extends AnyFunSuite {
   }
 
   test("build is deterministic") {
-    val a = ElementalGraphBuilder.build(vs.slice(0, 128), m = 6, ef = 30)
-    val b = ElementalGraphBuilder.build(vs.slice(0, 128), m = 6, ef = 30)
-    for (lay <- 0 until a.numLayers)
-      assert(a.layers(lay).toSeq == b.layers(lay).toSeq)
+    val a = ElementalGraphBuilder.build(vs.slice(0, 128), m = 6, ef = 30).layers
+    val b = ElementalGraphBuilder.build(vs.slice(0, 128), m = 6, ef = 30).layers
+    for (lay <- a.indices)
+      assert(a(lay).toSeq == b(lay).toSeq)
   }
 
   test("edgeCount and sizeBytes agree") {
@@ -116,29 +116,37 @@ class ElementalGraphBuilderSpec extends AnyFunSuite {
     assert(g.edgeCount <= 512L * 8 * g.numLayers)
   }
 
-  private def sameLayers(a: ElementalGraphs, b: ElementalGraphs): Boolean =
-    a.numLayers == b.numLayers &&
-      a.layers.indices.forall(i => java.util.Arrays.equals(a.layers(i), b.layers(i)))
+  private def sameLayers(a: ElementalGraphs, b: ElementalGraphs): Boolean = {
+    val (x, y) = (a.layers, b.layers)
+    x.length == y.length && x.indices.forall(i => java.util.Arrays.equals(x(i), y(i)))
+  }
 
   test("validate rejects each broken invariant") {
     val u = 100
     val nb = g.neighbors(0, u)
     assert(nb.length >= 3)
+    val decoded = g.layers
     def broken(lay: Int)(edit: Array[Int] => Unit): ElementalGraphs = {
-      val layers = g.layers.map(_.clone())
+      val layers = decoded.map(_.clone())
       edit(layers(lay))
       new ElementalGraphs(g.n, g.m, layers)
     }
     val (l, r) = SegmentTree.segmentAt(512, 2, u)
     val outside = if (l > 0) l - 1 else r + 1
-    for ((msg, bad) <- Seq(
-           "outside" -> broken(2)(a => a(u * 8) = outside),
-           "self-loop" -> broken(0)(a => a(u * 8) = u),
-           "order" -> broken(0)(a => a(u * 8 + 1) = nb(0)), // duplicate
-           "order" -> broken(0) { a => a(u * 8) = nb(1); a(u * 8 + 1) = nb(0) }, // unsorted
-           "padding" -> broken(0)(a => a(u * 8 + 1) = -1))) {
+    // The structure is checked when the index is constructed.
+    for ((lay, slot, msg, edit) <- Seq[(Int, Int, String, Array[Int] => Unit)](
+           (2, u * 8, "outside", a => a(u * 8) = outside),
+           (0, u * 8, "self-loop", a => a(u * 8) = u),
+           (0, u * 8 + 2, "empty slot", a => a(u * 8 + 1) = -1))) {
+      val e = intercept[IllegalArgumentException](broken(lay)(edit))
+      assert(e.getMessage.contains(s"layer $lay slot $slot") && e.getMessage.contains(msg), e.getMessage)
+    }
+    // The order needs the vectors, so `validate` checks it.
+    for (bad <- Seq(
+           broken(0)(a => a(u * 8 + 1) = nb(0)), // duplicate
+           broken(0) { a => a(u * 8) = nb(1); a(u * 8 + 1) = nb(0) })) { // unsorted
       val e = intercept[IllegalStateException](bad.validate(vs))
-      assert(e.getMessage.contains(msg), e.getMessage)
+      assert(e.getMessage.contains("order"), e.getMessage)
     }
   }
 

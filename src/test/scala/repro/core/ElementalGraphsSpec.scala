@@ -1,10 +1,13 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.graph.VecStore
 
 /** The segment-relative encoding of `ElementalGraphs` at the 16-bit
   * boundary, on hand-made layers (m = 2) with no build: a root edge
-  * 0 → 0 + offset and one layer-1 edge per graph.
+  * 0 → 0 + offset and one layer-1 edge per graph. Then the constructor's
+  * structural check at n = 8, where a malformed index would otherwise reach
+  * a search.
   */
 class ElementalGraphsSpec extends AnyFunSuite {
 
@@ -55,5 +58,37 @@ class ElementalGraphsSpec extends AnyFunSuite {
     val n = 65535
     val e = intercept[IllegalArgumentException](handMade(n, (0, 0, 65535)))
     assert(e.getMessage.contains("layer 0 slot 0"), e.getMessage)
+  }
+
+  /** Rank i holds the vector (i, 0), so a query's nearest ranks are plain to see. */
+  private val line = VecStore.fromRows((0 until 8).map(i => Array(i.toFloat, 0f)))
+
+  private def assertRejected(fragments: String*)(body: => Any): org.scalatest.Assertion = {
+    val e = intercept[IllegalArgumentException](body)
+    assert(fragments.forall(e.getMessage.contains), e.getMessage)
+  }
+
+  test("n = 8: the constructor rejects a neighbor right of its segment, which BasicSearch would return") {
+    // Node 0's layer-1 segment is [0, 3]; the query (4.6, 0) is nearest to 5.
+    assert(SegmentTree.segmentAt(8, 1, 0) == ((0, 3)))
+    assertRejected("layer 1 slot 0", "outside") {
+      BasicSearch.search(line, handMade(8, (1, 0, 5)), Array(4.6f, 0f), 0, 3, 4, 10)
+    }
+  }
+
+  test("n = 8: the constructor rejects a self-loop") {
+    // Node 3's layer-2 segment is [2, 3]: neighbor 2 is fine, 3 is itself.
+    assertRejected("layer 2 slot 7", "self-loop")(handMade(8, (2, 6, 2), (2, 7, 3)))
+  }
+
+  test("n = 8: the constructor rejects a neighbor after an empty slot") {
+    assertRejected("layer 0 slot 1", "after an empty slot")(handMade(8, (0, 1, 3)))
+  }
+
+  test("n = 8: the constructor rejects a 1-layer index, which IRangeGraph.search would read past") {
+    assertRejected(s"${SegmentTree.depth(8)} layers, got 1") {
+      val g = new ElementalGraphs(8, m, Array(Array.fill(8 * m)(-1)))
+      new IRangeGraph(line, g).search(Array(1f, 0f), 0, 3, 2, 10)
+    }
   }
 }
