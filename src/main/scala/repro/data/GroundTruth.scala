@@ -5,29 +5,18 @@ import repro.graph.{BruteForce, RankBlocks, VecStore}
 
 /** Exact range-filtered top-k ground truth.
   *
-  * Both paths are [[BruteForce.topK]], the exact (distance, id)-ordered
-  * scan. The Spark path cuts the ranks into `defaultParallelism`
-  * [[RankBlocks]], one task each; a task reads the broadcast vectors and
-  * queries and returns its block's top-k per query (at most blocks ×
-  * queries × k candidates cross the wire, with no shuffle), and the driver
-  * merges them with [[BruteForce.mergeTopK]]. Tests assert the Spark result
-  * equals both the local scan and the DuckDB oracle; every recall number in
-  * the benches is measured against this.
+  * It runs [[BruteForce.topK]], the exact (distance, id)-ordered scan, on
+  * Spark: the ranks are cut into `defaultParallelism` [[RankBlocks]], one
+  * task each; a task reads the broadcast vectors and queries and returns its
+  * block's top-k per query (at most blocks × queries × k candidates cross the
+  * wire, with no shuffle), and the driver merges them with
+  * [[BruteForce.mergeTopK]]. Tests assert the result equals both a local scan
+  * and the DuckDB oracle; every recall number in the benches is measured
+  * against this.
   */
 object GroundTruth {
 
-  /** Exact top-k ids per query over ranks [L, R] (and an optional extra
-    * predicate for the multi-attribute case), sorted by (dist, id).
-    */
-  def computeLocal(vs: VecStore, queries: Array[Array[Float]],
-                   ranges: Array[(Int, Int)], k: Int,
-                   pred: (Int, Int) => Boolean = (_, _) => true): Array[Array[Int]] =
-    queries.indices.toArray.map { qid =>
-      val (l, r) = ranges(qid)
-      BruteForce.topKIds(vs, queries(qid), l, r, k, i => pred(qid, i))
-    }
-
-  /** Spark implementation — see class doc. `attr2Rank`/`ranges2` activate
+  /** Exact top-k per query — see class doc. `attr2Rank`/`ranges2` activate
     * the conjunctive second-attribute predicate.
     */
   def computeSpark(spark: SparkSession, vs: VecStore,

@@ -34,25 +34,4 @@ object RngPrune {
     }
     java.util.Arrays.copyOf(kept, n)
   }
-
-  /** Exact directed RNG over ids [lo, hi] (inclusive), O(s³) — reference
-    * implementation for validating approximate builders on tiny segments.
-    * Edge (u, v) is kept iff no u' in the segment has
-    * δ(u, u') < δ(u, v) and δ(v, u') < δ(u, v).
-    * Ties broken conservatively (strict inequality), matching `prune` at
-    * α = 1 with a full candidate set and m = ∞.
-    */
-  def exactRng(vs: VecStore, lo: Int, hi: Int): Map[Int, Array[Int]] = {
-    val ids = (lo to hi).toArray
-    ids.map { u =>
-      val kept = ids.filter(_ != u).filter { v =>
-        val duv = vs.dist2(u, v)
-        !ids.exists(w => w != u && w != v &&
-          vs.dist2(u, w) < duv && vs.dist2(v, w) < duv)
-      }
-      val order = new SortedList(kept.length)
-      kept.foreach(v => order.insert(vs.dist2(u, v), v))
-      u -> Array.tabulate(kept.length)(order.id)
-    }.toMap
-  }
 }

@@ -1,9 +1,9 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestData
+import repro.{ExactOracles, TestData}
 import repro.bench.BenchUtil
-import repro.graph.{BruteForce, RngPrune}
+import repro.graph.BruteForce
 import repro.data.GroundTruth
 
 class ElementalGraphBuilderSpec extends AnyFunSuite {
@@ -54,7 +54,7 @@ class ElementalGraphBuilderSpec extends AnyFunSuite {
     // kept-set prune then retains a superset of the exact RNG edges.
     val small = TestData.randomVs(16, 4, seed = 72)
     val sg = ElementalGraphBuilder.build(small, m = 16, ef = 32)
-    val exact = RngPrune.exactRng(small, 0, 15)
+    val exact = ExactOracles.exactRng(small, 0, 15)
     for (u <- 0 until 16)
       assert(exact(u).toSet.subsetOf(sg.neighbors(0, u).toSet), s"node $u")
     sg.validate(small)
@@ -108,7 +108,7 @@ class ElementalGraphBuilderSpec extends AnyFunSuite {
   }
 
   test("edgeCount and sizeBytes agree") {
-    assert(g.sizeBytes == g.edgeCount * 2)
+    assert(g.sizeBytes == ElementalGraphsSpec.expectedBytes(g))
     assert(g.edgeCount > 0)
   }
 

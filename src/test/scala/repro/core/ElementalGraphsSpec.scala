@@ -1,15 +1,20 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestData
 import repro.graph.VecStore
 
-/** The segment-relative encoding of `ElementalGraphs` at the 16-bit
-  * boundary, on hand-made layers (m = 2) with no build: a root edge
-  * 0 → 0 + offset and one layer-1 edge per graph. Then the constructor's
-  * structural check at n = 8, where a malformed index would otherwise reach
-  * a search.
+/** The segment-relative encoding of `ElementalGraphs` at its width
+  * boundaries, on hand-made layers (m = 2) with no build: a root edge
+  * 0 → 0 + offset and one layer-1 edge per graph. A layer stores 1-byte ids
+  * where its segments hold at most 255 ranks, 2-byte ids up to 65535 ranks
+  * and 4-byte ids above.
+  * Then `sizeBytes` against that rule on a built index, and the
+  * constructor's structural check at n = 8, where a malformed index would
+  * otherwise reach a search.
   */
 class ElementalGraphsSpec extends AnyFunSuite {
+  import ElementalGraphsSpec.{expectedBytes, width}
 
   private val m = 2
 
@@ -44,6 +49,29 @@ class ElementalGraphsSpec extends AnyFunSuite {
       // Layer 1 is 16-bit in every case: ⌈70000 / 2⌉ = 35000.
       assert(g.sizeBytes == 2L * rootBytes + 2)
     }
+  }
+
+  // n = 255: the root's largest offset, 254, still fits a byte beside the
+  // all-ones empty slot. At 256 the root needs 2 bytes, while layer 1, whose
+  // segments hold at most 128 ranks, keeps 1.
+  for ((n, rootBytes) <- Seq(255 -> 1, 256 -> 2)) {
+    test(s"n = $n: a root edge 0 -> ${n - 1} and a layer-1 edge round-trip, $rootBytes-byte root ids, 1-byte layer-1 ids") {
+      val (l1, r1) = SegmentTree.childContaining(0, n - 1, n - 1) // right child
+      val g = handMade(n, (0, 0, n - 1), (1, l1 * m, r1))
+      assert(g.layers(0).take(2).toSeq == Seq(n - 1, -1))
+      assert(g.neighbors(0, 0).toSeq == Seq(n - 1))
+      assert(g.neighbors(1, l1).toSeq == Seq(r1))
+      assert(g.edgeCount == 2 && g.sizeBytes == rootBytes + 1)
+    }
+  }
+
+  test("n = 2048, built: sizeBytes sums each layer's edges times its width") {
+    val vs = TestData.randomVs(2048, 4, seed = 91)
+    val g = ElementalGraphBuilder.build(vs, m = 8, ef = 40)
+    // (2047 >> 3) = 255 needs 2 bytes; (2047 >> 4) = 127 fits 1.
+    assert((0 until g.numLayers).map(width(2048, _)) ==
+      Seq.fill(4)(2) ++ Seq.fill(g.numLayers - 4)(1))
+    assert(g.sizeBytes == expectedBytes(g))
   }
 
   test("the constructor rejects an id left of its segment, naming the layer and slot") {
@@ -91,4 +119,19 @@ class ElementalGraphsSpec extends AnyFunSuite {
       new IRangeGraph(line, g).search(Array(1f, 0f), 0, 3, 2, 10)
     }
   }
+}
+
+object ElementalGraphsSpec {
+
+  /** Bytes per stored id on layer `lay` of an index over n ranks: the
+    * narrowest width whose all-ones empty marker exceeds every offset there.
+    */
+  def width(n: Int, lay: Int): Int = {
+    val maxOffset = (n - 1) >> lay
+    if (maxOffset < 0xFF) 1 else if (maxOffset < 0xFFFF) 2 else 4
+  }
+
+  /** Σ over layers of that layer's edges × its width, the edges counted on one `layers` copy. */
+  def expectedBytes(g: ElementalGraphs): Long =
+    g.layers.zipWithIndex.map { case (layer, lay) => layer.count(_ >= 0).toLong * width(g.n, lay) }.sum
 }

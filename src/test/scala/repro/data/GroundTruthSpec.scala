@@ -1,6 +1,6 @@
 package repro.data
 
-import repro.{Oracle, SparkSpec, TestData}
+import repro.{ExactOracles, Oracle, SparkSpec, TestData}
 
 /** Validates the exact ground truth three ways: local scan vs Spark
   * dataflow vs the DuckDB oracle. Every bench recall is measured against
@@ -30,7 +30,7 @@ class GroundTruthSpec extends SparkSpec {
 
   test("Spark ground truth equals the local scan") {
     val sparkGt = GroundTruth.computeSpark(spark, vs, queries, ranges, k = 10)
-    val localGt = GroundTruth.computeLocal(vs, queries, ranges, k = 10)
+    val localGt = ExactOracles.groundTruth(vs, queries, ranges, k = 10)
     for (qi <- queries.indices)
       assert(sparkGt(qi).toSeq == localGt(qi).toSeq, s"query $qi")
   }
@@ -49,7 +49,7 @@ class GroundTruthSpec extends SparkSpec {
     val ranges2 = Array((20, 80), (0, 119), (0, 5), (50, 50), (30, 100), (60, 119))
     val sparkGt = GroundTruth.computeSpark(spark, vs, queries, ranges, k = 10,
       attr2Rank = attr2, ranges2 = ranges2)
-    val localGt = GroundTruth.computeLocal(vs, queries, ranges, k = 10,
+    val localGt = ExactOracles.groundTruth(vs, queries, ranges, k = 10,
       pred = (qi, i) => attr2(i) >= ranges2(qi)._1 && attr2(i) <= ranges2(qi)._2)
     for (qi <- queries.indices)
       assert(sparkGt(qi).toSeq == localGt(qi).toSeq, s"query $qi")
@@ -61,7 +61,7 @@ class GroundTruthSpec extends SparkSpec {
     val tiny = TestData.randomVs(math.max(1, spark.sparkContext.defaultParallelism / 2), dim, seed = 154)
     val tinyRanges = Array.fill(queries.length)((0, tiny.n - 1)).updated(1, (tiny.n - 1, tiny.n - 1))
     val sparkGt = GroundTruth.computeSpark(spark, tiny, queries, tinyRanges, k = 10)
-    val localGt = GroundTruth.computeLocal(tiny, queries, tinyRanges, k = 10)
+    val localGt = ExactOracles.groundTruth(tiny, queries, tinyRanges, k = 10)
     for (qi <- queries.indices)
       assert(sparkGt(qi).toSeq == localGt(qi).toSeq, s"query $qi")
   }
@@ -75,7 +75,7 @@ class GroundTruthSpec extends SparkSpec {
     val inner = if (hi - lo >= 2) (lo + 1, hi - 1) else (lo, hi)
     val blockRanges = Array.tabulate(queries.length)(qi => if (qi % 2 == 0) (lo, hi) else inner)
     val sparkGt = GroundTruth.computeSpark(spark, vs, queries, blockRanges, k = 10)
-    val localGt = GroundTruth.computeLocal(vs, queries, blockRanges, k = 10)
+    val localGt = ExactOracles.groundTruth(vs, queries, blockRanges, k = 10)
     for (qi <- queries.indices)
       assert(sparkGt(qi).toSeq == localGt(qi).toSeq, s"query $qi")
   }

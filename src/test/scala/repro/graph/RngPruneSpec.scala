@@ -1,7 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestData
+import repro.{ExactOracles, TestData}
 
 class RngPruneSpec extends AnyFunSuite {
 
@@ -52,7 +52,7 @@ class RngPruneSpec extends AnyFunSuite {
     // every exact-RNG edge survives, possibly plus a few extra (this is the
     // standard HNSW/NSG/DiskANN heuristic the paper builds on).
     val vs = TestData.randomVs(40, 4, seed = 34)
-    val exact = RngPrune.exactRng(vs, 0, 39)
+    val exact = ExactOracles.exactRng(vs, 0, 39)
     for (u <- 0 until 40) {
       val kept = pruneFor(vs, u, 0 until 40, m = 40).map(_.id).toSet
       assert(exact(u).toSet.subsetOf(kept), s"node $u lost an exact-RNG edge")
@@ -83,8 +83,8 @@ class RngPruneSpec extends AnyFunSuite {
     // be pruned in the full set": an edge kept on the superset whose
     // endpoints lie in the subset is also kept on the subset.
     val vs = TestData.randomVs(30, 4, seed = 36)
-    val small = RngPrune.exactRng(vs, 0, 14)
-    val big = RngPrune.exactRng(vs, 0, 29)
+    val small = ExactOracles.exactRng(vs, 0, 14)
+    val big = ExactOracles.exactRng(vs, 0, 29)
     for (u <- 0 until 15; v <- big(u) if v < 15)
       assert(small(u).contains(v), s"edge ($u,$v) kept on superset, pruned on subset")
   }
@@ -109,7 +109,7 @@ class RngPruneSpec extends AnyFunSuite {
   test("exactRng edges are symmetric in the undirected sense of Definition 2.1") {
     // The pruning condition is symmetric in u and v, so (u,v) kept iff (v,u) kept.
     val vs = TestData.randomVs(25, 3, seed = 38)
-    val g = RngPrune.exactRng(vs, 0, 24)
+    val g = ExactOracles.exactRng(vs, 0, 24)
     for (u <- 0 until 25; v <- g(u)) assert(g(v).contains(u))
   }
 
