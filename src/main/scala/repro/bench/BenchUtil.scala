@@ -45,10 +45,18 @@ object BenchUtil {
     finally pool.shutdown()
   }
 
+  /** Thread CPU seconds a timed pass runs at least: it repeats the query
+    * loop until it has used this much. A pass of one loop can be a
+    * millisecond, shorter than the JIT takes to recompile the search after a
+    * suite build, so its qps read the code mid-compilation.
+    */
+  private val MinPassCpuSeconds = 0.05
+
   /** Run one method over a workload at one beam size; returns the curve
     * point (single-threaded query loop, matching the paper's measurement).
-    * Two timed passes, best taken — a single GC pause otherwise distorts
-    * the qps of a sub-second loop.
+    * Two timed passes of at least [[MinPassCpuSeconds]] each, the faster
+    * taken — a single GC pause otherwise distorts the qps of a short loop.
+    * qps is queries run / CPU seconds.
     */
   def measure(
       search: (Int, Int) => Array[Int], // (qid, beam) => result ids
@@ -57,32 +65,37 @@ object BenchUtil {
       gt: Array[Array[Int]],
   ): CurvePoint = {
     val results = new Array[Array[Int]](nQueries)
-    var best = Double.MaxValue
+    var bestQps = 0.0
     var pass = 0
     while (pass < 2) {
       val t0 = threadMx.getCurrentThreadCpuTime
-      var qid = 0
-      while (qid < nQueries) {
-        results(qid) = search(qid, beam)
-        qid += 1
+      var run = 0L
+      var cpu = 0.0
+      while (cpu < MinPassCpuSeconds) {
+        var qid = 0
+        while (qid < nQueries) {
+          results(qid) = search(qid, beam)
+          qid += 1
+        }
+        run += nQueries
+        cpu = (threadMx.getCurrentThreadCpuTime - t0) / 1e9
       }
-      best = math.min(best, (threadMx.getCurrentThreadCpuTime - t0) / 1e9)
+      bestQps = math.max(bestQps, run / cpu)
       pass += 1
     }
-    CurvePoint(beam, GroundTruth.meanRecall(gt, results), nQueries / best)
+    CurvePoint(beam, GroundTruth.meanRecall(gt, results), bestQps)
   }
 
   /** The beams of every sweep, ascending. */
   val defaultBeams: Seq[Int] = Seq(10, 20, 40, 80, 160, 320, 640)
 
-  /** Full sweep over [[defaultBeams]] with one warm-up pass at the smallest
-    * beam (JIT). Stops early once recall reaches 0.995 (the curve is flat
-    * after that).
+  /** Full sweep over [[defaultBeams]] after an untimed warm-up at the
+    * smallest beam (JIT) as long as a timed pass. Stops early once recall
+    * reaches 0.995 (the curve is flat after that).
     */
   def sweep(search: (Int, Int) => Array[Int], nQueries: Int,
             gt: Array[Array[Int]]): Seq[CurvePoint] = {
-    var q = 0
-    while (q < nQueries) { search(q, defaultBeams.head); q += 1 } // warm-up
+    val _ = measure(search, nQueries, defaultBeams.head, gt) // warm-up
     val out = Seq.newBuilder[CurvePoint]
     var done = false
     for (b <- defaultBeams if !done) {

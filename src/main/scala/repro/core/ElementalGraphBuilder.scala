@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.stream.IntStream
-import repro.graph.{BeamSearch, FlatAdjacency, RngPrune, SortedList, VecStore}
+import repro.graph.{BeamSearch, RngPrune, SortedList, VecStore}
 
 /** Bottom-up materialization of all elemental graphs (Section 3.2.2).
   *
@@ -85,12 +85,15 @@ object ElementalGraphBuilder {
           q, (i: Int) => vs.dist2(i, q),
           entries = Seq(SegmentTree.mid(siblingLo, siblingHi)),
           beam = ef, k = ef,
-          neighbors = (x: Int) => FlatAdjacency.copy(childAdj, m, x, scratch),
+          neighbors = (x: Int) => { System.arraycopy(childAdj, x * m, scratch, 0, m); scratch },
         )
         for (f <- found) cands.insert(f.dist, f.id)
       }
     }
-    FlatAdjacency.write(layers(lay), m, u, RngPrune.prune(vs, cands, m))
+    // u's kept ids, then -1 over whatever its slots held before.
+    val kept = RngPrune.prune(vs, cands, m)
+    System.arraycopy(kept, 0, layers(lay), u * m, kept.length)
+    java.util.Arrays.fill(layers(lay), u * m + kept.length, (u + 1) * m, -1)
   }
 
   /** Every layer of the index over `vs` (ranks = ids) as -1-padded global-id arrays. */

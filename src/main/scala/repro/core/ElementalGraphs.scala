@@ -96,13 +96,6 @@ final class ElementalGraphs(
     out
   }
 
-  /** Degree of u at layer `lay`. */
-  def degree(lay: Int, u: Int): Int = (0 until m).takeWhile(j => offset(planes(lay), u * m + j) >= 0).length
-
-  /** Neighbors of u at layer `lay` as a fresh exact-size array (tests). */
-  def neighbors(lay: Int, u: Int): Array[Int] =
-    neighborsInto(lay, SegmentTree.segmentAt(n, lay, u)._1, u, new Array[Int](m)).take(degree(lay, u))
-
   private def edges(lay: Int): Long = (0 until n * m).count(offset(planes(lay), _) >= 0).toLong
 
   /** Total stored directed edges. */
@@ -115,9 +108,9 @@ final class ElementalGraphs(
   def validate(vs: VecStore): Unit = {
     def fail(msg: String): Nothing = throw new IllegalStateException(msg)
     if (vs.n != n) fail(s"graphs over $n ranks, vectors over ${vs.n}")
-    val node = new Array[Int](m)
+    val buf = new Array[Int](m)
     forEachNode { (lay, l, _, u) =>
-      neighborsInto(lay, l, u, node)
+      val node = neighborsInto(lay, l, u, buf)
       var i = 1
       while (i < m && node(i) >= 0) {
         val (p, v) = (node(i - 1), node(i))

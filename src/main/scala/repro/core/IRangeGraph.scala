@@ -38,7 +38,7 @@ final class IRangeGraph(val vs: VecStore, val graphs: ElementalGraphs) {
       q, (i: Int) => vs.dist2(i, q),
       entries = IRangeGraph.entries(L, R),
       beam = beam, k = k,
-      neighbors = (u: Int) => { EdgeSelection.select(graphs, u, L, R, scratch, skipLayers); scratch },
+      neighbors = (u: Int) => { val _ = EdgeSelection.select(graphs, u, L, R, scratch, skipLayers); scratch },
       visit = visit,
       admit = admit,
       stats = stats,
@@ -64,10 +64,4 @@ object IRangeGraph {
     val len = R - L
     Seq(L + len / 2, L, R, L + len / 4, L + 3 * len / 4).distinct
   }
-
-  /** Driver-local build: sorts nothing — callers supply vectors already in
-    * attribute-rank order (Section 2.2's rank mapping).
-    */
-  def build(vs: VecStore, m: Int, ef: Int): IRangeGraph =
-    new IRangeGraph(vs, ElementalGraphBuilder.build(vs, m, ef))
 }

@@ -14,13 +14,6 @@ object SegmentTree {
 
   def mid(l: Int, r: Int): Int = (l + r) >>> 1
 
-  /** Child of [l, r] containing rank u. */
-  def childContaining(l: Int, r: Int, u: Int): (Int, Int) = {
-    require(l < r && l <= u && u <= r, s"childContaining($l,$r,$u)")
-    val m = mid(l, r)
-    if (u <= m) (l, m) else (m + 1, r)
-  }
-
   /** Number of layers (root layer 0 .. deepest leaf layer). */
   def depth(n: Int): Int = {
     require(n >= 1)
@@ -28,18 +21,6 @@ object SegmentTree {
     var len = n
     while (len > 1) { len = (len + 1) / 2; d += 1 }
     d
-  }
-
-  /** Segment containing rank u at layer `lay` (descends from the root).
-    * Returns the leaf's segment if the branch ends above `lay`.
-    */
-  def segmentAt(n: Int, lay: Int, u: Int): (Int, Int) = {
-    var l = 0; var r = n - 1; var i = 0
-    while (i < lay && l < r) {
-      val c = childContaining(l, r, u)
-      l = c._1; r = c._2; i += 1
-    }
-    (l, r)
   }
 
   /** Segments exactly at layer `lay`, left to right; a branch that bottomed

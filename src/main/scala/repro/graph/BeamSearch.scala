@@ -36,9 +36,10 @@ final class SearchStats {
   * Bookkeeping allocates nothing per search but the k returned candidates:
   * the beam and the admitted set are sorted lists on primitive arrays,
   * and the visited set is an [[EpochMarks]] indexed by id (ids are dense
-  * ranks). They live in a `Scratch` taken from a per-thread pool — hnswlib's
-  * visited-list pool — so concurrent builder tasks never share one, and a
-  * search started from inside another's closures gets its own.
+  * ranks). They live in one `Scratch` per thread — hnswlib's visited-list
+  * pool — so concurrent builder tasks never share one. No closure may start
+  * a search on its own thread: that search would need the running one's
+  * scratch, so it throws `IllegalStateException` instead.
   */
 object BeamSearch {
 
@@ -63,23 +64,18 @@ object BeamSearch {
       stats: SearchStats = null,
   ): Array[Candidate] = {
     require(beam >= 1, s"beam must be >= 1, got $beam")
-    var s = pool.get()
-    while (s.busy) {
-      if (s.next == null) s.next = new Scratch
-      s = s.next
-    }
+    val s = scratch.get()
+    if (s.busy) throw new IllegalStateException("a search was started from inside another search's closure")
     s.busy = true
     try s.search(dist, entries, beam, k, neighbors, visit, admit, stats)
     finally s.busy = false
   }
 
-  /** Per-thread chain of scratches; a search takes the first idle one. */
-  private val pool = ThreadLocal.withInitial[Scratch](() => new Scratch)
+  private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
 
-  /** Beam, admitted set and visited set of one running search. */
+  /** Beam, admitted set and visited set of a thread's running search. */
   private final class Scratch {
     var busy = false
-    var next: Scratch = null
     // The best `beam` visited nodes.
     private val beamList = new SortedList
     // The best k admitted nodes (flags unused), when not the beam.
@@ -118,10 +114,8 @@ object BeamSearch {
         while (j < nbrs.length && nbrs(j) >= 0) {
           val v = nbrs(j)
           if (stats != null) stats.edgesScanned += 1
-          if (!visited.contains(v) && visit(v)) {
-            visited.add(v)
-            offer(v)
-          }
+          // `visit` runs only on unvisited nodes: MultiAttr's probabilistic filter draws on every call.
+          if (!visited.contains(v) && visit(v) && visited.add(v)) offer(v)
           j += 1
         }
       }

@@ -28,8 +28,9 @@ final class Hnsw private (
   private val mL = 1.0 / math.log(m.toDouble)
   private val rnd = new SplittableRandom(Hnsw.Seed)
 
-  // links(l) holds level l in the `FlatAdjacency` layout, node u at slot
-  // index u - lo; a level's array is allocated when a node first reaches it.
+  // links(l) holds level l as one flat array: node u's links in slots
+  // [i*cap, (i+1)*cap) with i = u - lo, neighbor ids first, then -1 padding.
+  // A level's array is allocated when a node first reaches it.
   private val links = mutable.ArrayBuffer.empty[Array[Int]]
   private var entryPoint: Int = -1
   private var entryLevel: Int = -1
@@ -40,6 +41,27 @@ final class Hnsw private (
 
   /** Link cap of a level: maxM0 = 2M at the base, M above. */
   private def cap(level: Int): Int = if (level == 0) 2 * m else m
+
+  /** Number of links of node i in `a` (its slots before the first -1). */
+  private def degree(a: Array[Int], c: Int, i: Int): Int = {
+    val base = i * c
+    var d = 0
+    while (d < c && a(base + d) >= 0) d += 1
+    d
+  }
+
+  /** Set node i's links to `kept` (at most c ids), -1-padded. */
+  private def write(a: Array[Int], c: Int, i: Int, kept: Array[Int]): Unit = {
+    System.arraycopy(kept, 0, a, i * c, kept.length)
+    java.util.Arrays.fill(a, i * c + kept.length, (i + 1) * c, -1)
+  }
+
+  /** Append v to node i's links; false (and nothing written) if i is full. */
+  private def append(a: Array[Int], c: Int, i: Int, v: Int): Boolean = {
+    val d = degree(a, c, i)
+    if (d < c) a(i * c + d) = v
+    d < c
+  }
 
   /** Beam search restricted to one level of the (partially built) graph —
     * the one traversal under insertion, descent and both public searches.
@@ -52,7 +74,7 @@ final class Hnsw private (
     val scratch = new Array[Int](c)
     BeamSearch.search(
       q, (i: Int) => vs.dist2(i, q), entriesIn, beam, k,
-      neighbors = (u: Int) => FlatAdjacency.copy(a, c, u - lo, scratch),
+      neighbors = (u: Int) => { System.arraycopy(a, (u - lo) * c, scratch, 0, c); scratch },
       visit = visit, admit = admit,
     )
   }
@@ -87,13 +109,13 @@ final class Hnsw private (
       val sel = RngPrune.prune(vs, cands, m)
       val a = links(l)
       val c = cap(l)
-      FlatAdjacency.write(a, c, u - lo, sel)
-      // Bidirectional links; a full neighbor re-prunes its links plus u.
+      write(a, c, u - lo, sel)
+      // Bidirectional links; a full neighbor re-prunes its c links plus u.
       for (v <- sel) {
-        if (!FlatAdjacency.append(a, c, v - lo, u)) {
+        if (!append(a, c, v - lo, u)) {
           cands.reset(c + 1)
-          for (x <- FlatAdjacency.neighbors(a, c, v - lo) :+ u) cands.insert(vs.dist2(v, x), x)
-          FlatAdjacency.write(a, c, v - lo, RngPrune.prune(vs, cands, c))
+          for (x <- a.slice((v - lo) * c, (v - lo + 1) * c) :+ u) cands.insert(vs.dist2(v, x), x)
+          write(a, c, v - lo, RngPrune.prune(vs, cands, c))
         }
       }
       eps = found.map(_.id).toSeq
@@ -131,9 +153,10 @@ final class Hnsw private (
   def sizeBytes: Long = edgeCount * 4L
 
   /** Degree of u at `level` (0 for a node below that level). */
-  def degree(level: Int, u: Int): Int = FlatAdjacency.degree(links(level), cap(level), u - lo)
+  def degree(level: Int, u: Int): Int = degree(links(level), cap(level), u - lo)
 
-  def baseNeighbors(u: Int): Array[Int] = FlatAdjacency.neighbors(links(0), cap(0), u - lo)
+  def baseNeighbors(u: Int): Array[Int] =
+    java.util.Arrays.copyOfRange(links(0), (u - lo) * cap(0), (u - lo) * cap(0) + degree(0, u))
 }
 
 object Hnsw {

@@ -2,7 +2,7 @@ package repro
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines._
-import repro.core.{BasicSearch, IRangeGraph, MultiAttr}
+import repro.core.{BasicSearch, ElementalGraphBuilder, IRangeGraph, MultiAttr}
 import repro.graph.{BruteForce, Candidate, Hnsw, SortedList}
 
 /** The result contract every method obeys: ids in range, distinct, sorted
@@ -56,7 +56,7 @@ class ResultContractSpec extends AnyFunSuite {
     res.length < want
   }
 
-  private lazy val ir = IRangeGraph.build(vs, m, ef)
+  private lazy val ir = new IRangeGraph(vs, ElementalGraphBuilder.build(vs, m, ef))
   private lazy val hnsw = Hnsw.buildAll(vs, m, ef)
   private lazy val milvus = new MilvusLike(vs, parts = 4, m = m, efConstruction = ef)
   private lazy val superPost = new SuperPostFiltering(vs, m, ef)

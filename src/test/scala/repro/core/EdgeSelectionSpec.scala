@@ -10,6 +10,10 @@ class EdgeSelectionSpec extends AnyFunSuite {
   private val vs = TestData.clusteredVs(n, 6, clusters = 5, seed = 81)
   private lazy val g = ElementalGraphBuilder.build(vs, m = m, ef = 40)
 
+  /** Each graph's layers, decoded once and shared by the threads that read them. */
+  private val decoded = scala.collection.concurrent.TrieMap.empty[ElementalGraphs, DecodedLayers]
+  private def layersOf(g: ElementalGraphs): DecodedLayers = decoded.getOrElseUpdate(g, new DecodedLayers(g))
+
   private def sel(u: Int, L: Int, R: Int): Seq[Int] = select(g, u, L, R, skip = true)
 
   private def selNoSkip(u: Int, L: Int, R: Int): Seq[Int] = {
@@ -24,13 +28,14 @@ class EdgeSelectionSpec extends AnyFunSuite {
   private def reference(g: ElementalGraphs, u: Int, L: Int, R: Int, skip: Boolean): Seq[Int] = {
     var l = 0; var r = g.n - 1; var lay = 0
     val s = scala.collection.mutable.LinkedHashSet.empty[Int]
+    val d = layersOf(g)
     var done = false
     while (!done && s.size < g.m && l < r) {
-      val (lc, rc) = SegmentTree.childContaining(l, r, u)
+      val (lc, rc) = TreeOracles.childContaining(l, r, u)
       if (skip && SegmentTree.intersectLen(lc, rc, L, R) == SegmentTree.intersectLen(l, r, L, R)) {
         l = lc; r = rc; lay += 1
       } else {
-        for (v <- g.neighbors(lay, u) if v >= L && v <= R && s.size < g.m) s += v
+        for (v <- d.neighbors(lay, u) if v >= L && v <= R && s.size < g.m) s += v
         if (L <= l && r <= R) done = true
         else { l = lc; r = rc; lay += 1 }
       }
@@ -100,7 +105,7 @@ class EdgeSelectionSpec extends AnyFunSuite {
 
   test("full range selects exactly the root-layer neighbors") {
     for (u <- 0 until n by 11)
-      assert(sel(u, 0, n - 1) == g.neighbors(0, u).toSeq)
+      assert(sel(u, 0, n - 1) == layersOf(g).neighbors(0, u).toSeq)
   }
 
   test("skip and no-skip agree when the root layer already fills m") {
@@ -127,7 +132,7 @@ class EdgeSelectionSpec extends AnyFunSuite {
   test("covered-segment termination: range equal to a segment returns that segment's graph edges prefix") {
     // When [L,R] is exactly a tree segment, descent reaches it, selects its
     // in-range (= all) edges and stops.
-    val (l, r) = SegmentTree.segmentAt(n, 2, 100)
+    val (l, r) = TreeOracles.segmentAt(n, 2, 100)
     for (u <- l to math.min(l + 10, r)) {
       val expected = {
         // reference: walk layers 0..2 picking in-range edges; at layer 2 the
@@ -154,12 +159,12 @@ class EdgeSelectionSpec extends AnyFunSuite {
     // Not a timing test — a structural one: count layers contributing edges.
     // For a range that is a single deep segment, skipping jumps straight
     // down; the no-skip variant scans every layer on the way.
-    val (l, r) = SegmentTree.segmentAt(n, 5, 37)
+    val (l, r) = TreeOracles.segmentAt(n, 5, 37)
     val u = 37
     // With skipping, selection must start at the first layer whose child
     // intersection differs; for a perfectly aligned segment range that is
     // the covered segment itself — a single layer.
-    assert(sel(u, l, r) == g.neighbors(5, u).filter(v => v >= l && v <= r).take(m).toSeq)
+    assert(sel(u, l, r) == layersOf(g).neighbors(5, u).filter(v => v >= l && v <= r).take(m).toSeq)
   }
 
   for ((name, graph) <- Seq("700" -> (() => g700), "1000" -> (() => g1000)); skip <- Seq(true, false)) {

@@ -10,6 +10,7 @@ class ElementalGraphBuilderSpec extends AnyFunSuite {
 
   private val vs = TestData.clusteredVs(512, 8, clusters = 6, seed = 71)
   private lazy val g = ElementalGraphBuilder.build(vs, m = 8, ef = 60)
+  private lazy val gl = new DecodedLayers(g)
 
   test("layer count equals the segment tree depth") {
     assert(g.numLayers == SegmentTree.depth(512))
@@ -17,32 +18,32 @@ class ElementalGraphBuilderSpec extends AnyFunSuite {
 
   test("degrees never exceed m on any layer") {
     for (lay <- 0 until g.numLayers; u <- 0 until 512)
-      assert(g.degree(lay, u) <= 8)
+      assert(gl.degree(lay, u) <= 8)
   }
 
   test("neighbors stay within the node's segment at every layer") {
     for (lay <- 0 until g.numLayers; u <- 0 until 512) {
-      val (l, r) = SegmentTree.segmentAt(512, lay, u)
-      assert(g.neighbors(lay, u).forall(v => v >= l && v <= r),
+      val (l, r) = TreeOracles.segmentAt(512, lay, u)
+      assert(gl.neighbors(lay, u).forall(v => v >= l && v <= r),
         s"layer $lay node $u leaks outside [$l,$r]")
     }
   }
 
   test("leaf layers have no edges") {
     val last = g.numLayers - 1
-    for (u <- 0 until 512) assert(g.degree(last, u) == 0)
+    for (u <- 0 until 512) assert(gl.degree(last, u) == 0)
   }
 
   test("neighbor lists are sorted ascending by distance") {
     for (lay <- 0 until g.numLayers - 1; u <- 0 until 512 by 13) {
-      val ds = g.neighbors(lay, u).map(vs.dist2(u, _))
+      val ds = gl.neighbors(lay, u).map(vs.dist2(u, _))
       assert(ds.sliding(2).forall { case Array(a, b) => a <= b; case _ => true })
     }
   }
 
   test("no self-loops or duplicate neighbors") {
     for (lay <- 0 until g.numLayers; u <- 0 until 512) {
-      val nb = g.neighbors(lay, u)
+      val nb = gl.neighbors(lay, u)
       assert(!nb.contains(u))
       assert(nb.distinct.length == nb.length)
     }
@@ -54,9 +55,10 @@ class ElementalGraphBuilderSpec extends AnyFunSuite {
     // kept-set prune then retains a superset of the exact RNG edges.
     val small = TestData.randomVs(16, 4, seed = 72)
     val sg = ElementalGraphBuilder.build(small, m = 16, ef = 32)
+    val sgl = new DecodedLayers(sg)
     val exact = ExactOracles.exactRng(small, 0, 15)
     for (u <- 0 until 16)
-      assert(exact(u).toSet.subsetOf(sg.neighbors(0, u).toSet), s"node $u")
+      assert(exact(u).toSet.subsetOf(sgl.neighbors(0, u).toSet), s"node $u")
     sg.validate(small)
   }
 
@@ -68,11 +70,11 @@ class ElementalGraphBuilderSpec extends AnyFunSuite {
     // candidates instead, so the invariant applies above the threshold.)
     val thresh = ElementalGraphBuilder.bruteThreshold(8)
     for (lay <- 0 until g.numLayers - 1; u <- 0 until 512 by 7) {
-      val (l, r) = SegmentTree.segmentAt(512, lay, u)
+      val (l, r) = TreeOracles.segmentAt(512, lay, u)
       if (r - l + 1 > thresh) {
-        val (cl, cr) = SegmentTree.childContaining(l, r, u)
-        val childNbrs = g.neighbors(lay + 1, u).toSet
-        for (v <- g.neighbors(lay, u) if v >= cl && v <= cr)
+        val (cl, cr) = TreeOracles.childContaining(l, r, u)
+        val childNbrs = gl.neighbors(lay + 1, u).toSet
+        for (v <- gl.neighbors(lay, u) if v >= cl && v <= cr)
           assert(childNbrs.contains(v),
             s"parent edge ($u,$v) at layer $lay not in child graph")
       }
@@ -92,10 +94,11 @@ class ElementalGraphBuilderSpec extends AnyFunSuite {
   test("arbitrary (non power of two) n builds and stays consistent") {
     val odd = TestData.clusteredVs(333, 6, clusters = 4, seed = 74)
     val og = ElementalGraphBuilder.build(odd, m = 6, ef = 40)
+    val ogl = new DecodedLayers(og)
     assert(og.numLayers == SegmentTree.depth(333))
     for (lay <- 0 until og.numLayers; u <- 0 until 333) {
-      val (l, r) = SegmentTree.segmentAt(333, lay, u)
-      assert(og.neighbors(lay, u).forall(v => v >= l && v <= r && v != u))
+      val (l, r) = TreeOracles.segmentAt(333, lay, u)
+      assert(ogl.neighbors(lay, u).forall(v => v >= l && v <= r && v != u))
     }
     og.validate(odd)
   }
@@ -105,6 +108,20 @@ class ElementalGraphBuilderSpec extends AnyFunSuite {
     val b = ElementalGraphBuilder.build(vs.slice(0, 128), m = 6, ef = 30).layers
     for (lay <- a.indices)
       assert(a(lay).toSeq == b(lay).toSeq)
+  }
+
+  test("buildSegmentLayer over stale ids writes the same slots as over a -1-filled layer") {
+    val clean = ElementalGraphBuilder.buildAll(vs, m = 8, ef = 60)
+    // Layer 2 takes the sibling-search path (128-rank segments, 64-rank
+    // siblings above ef), and the layer above the leaves the all-members one.
+    for (lay <- Seq(2, clean.length - 2)) {
+      val stale = clean.map(_.clone())
+      java.util.Arrays.fill(stale(lay), 511) // a stale id in every slot, padding included
+      for ((l, r) <- SegmentTree.segmentsAtLayer(512, lay))
+        ElementalGraphBuilder.buildSegmentLayer(vs, stale, 8, 60, l, r, lay)
+      assert(stale(lay).contains(-1), s"layer $lay")
+      assert(java.util.Arrays.equals(stale(lay), clean(lay)), s"layer $lay")
+    }
   }
 
   test("edgeCount and sizeBytes agree") {
@@ -123,15 +140,15 @@ class ElementalGraphBuilderSpec extends AnyFunSuite {
 
   test("validate rejects each broken invariant") {
     val u = 100
-    val nb = g.neighbors(0, u)
+    val nb = gl.neighbors(0, u)
     assert(nb.length >= 3)
-    val decoded = g.layers
+    val decoded = gl.layers
     def broken(lay: Int)(edit: Array[Int] => Unit): ElementalGraphs = {
       val layers = decoded.map(_.clone())
       edit(layers(lay))
       new ElementalGraphs(g.n, g.m, layers)
     }
-    val (l, r) = SegmentTree.segmentAt(512, 2, u)
+    val (l, r) = TreeOracles.segmentAt(512, 2, u)
     val outside = if (l > 0) l - 1 else r + 1
     // The structure is checked when the index is constructed.
     for ((lay, slot, msg, edit) <- Seq[(Int, Int, String, Array[Int] => Unit)](

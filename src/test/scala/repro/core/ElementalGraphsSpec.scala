@@ -30,16 +30,16 @@ class ElementalGraphsSpec extends AnyFunSuite {
   // plane; at 65536 the root edge's offset 65535 has all-ones low bits.
   for ((n, rootBytes) <- Seq(65535 -> 2, 65536 -> 4, 70000 -> 4)) {
     test(s"n = $n: a root edge 0 -> ${n - 1} and a layer-1 edge round-trip, $rootBytes bytes per root id") {
-      val (l1, r1) = SegmentTree.childContaining(0, n - 1, n - 1) // right child
+      val (l1, r1) = TreeOracles.childContaining(0, n - 1, n - 1) // right child
       val u1 = r1 - 1
       val g = handMade(n, (0, 0, n - 1), (0, 1, 1), (1, u1 * m, l1))
-      val decoded = g.layers
-      assert(decoded(0).take(2).toSeq == Seq(n - 1, 1))
-      assert(decoded(1)(u1 * m) == l1)
-      assert(g.neighbors(0, 0).toSeq == Seq(n - 1, 1))
-      assert(g.neighbors(1, u1).toSeq == Seq(l1))
-      assert(g.degree(0, 1) == 0 && g.degree(1, u1) == 1)
-      assert(decoded.map(_.count(_ >= 0)).sum == 3 && g.edgeCount == 3)
+      val gl = new DecodedLayers(g)
+      assert(gl.layers(0).take(2).toSeq == Seq(n - 1, 1))
+      assert(gl.layers(1)(u1 * m) == l1)
+      assert(gl.neighbors(0, 0).toSeq == Seq(n - 1, 1))
+      assert(gl.neighbors(1, u1).toSeq == Seq(l1))
+      assert(gl.degree(0, 1) == 0 && gl.degree(1, u1) == 1)
+      assert(gl.layers.map(_.count(_ >= 0)).sum == 3 && g.edgeCount == 3)
 
       // Full-range Algorithm 1 at node 0 scans the root and stops there.
       val out = new Array[Int](m + 1)
@@ -56,11 +56,12 @@ class ElementalGraphsSpec extends AnyFunSuite {
   // segments hold at most 128 ranks, keeps 1.
   for ((n, rootBytes) <- Seq(255 -> 1, 256 -> 2)) {
     test(s"n = $n: a root edge 0 -> ${n - 1} and a layer-1 edge round-trip, $rootBytes-byte root ids, 1-byte layer-1 ids") {
-      val (l1, r1) = SegmentTree.childContaining(0, n - 1, n - 1) // right child
+      val (l1, r1) = TreeOracles.childContaining(0, n - 1, n - 1) // right child
       val g = handMade(n, (0, 0, n - 1), (1, l1 * m, r1))
-      assert(g.layers(0).take(2).toSeq == Seq(n - 1, -1))
-      assert(g.neighbors(0, 0).toSeq == Seq(n - 1))
-      assert(g.neighbors(1, l1).toSeq == Seq(r1))
+      val gl = new DecodedLayers(g)
+      assert(gl.layers(0).take(2).toSeq == Seq(n - 1, -1))
+      assert(gl.neighbors(0, 0).toSeq == Seq(n - 1))
+      assert(gl.neighbors(1, l1).toSeq == Seq(r1))
       assert(g.edgeCount == 2 && g.sizeBytes == rootBytes + 1)
     }
   }
@@ -76,7 +77,7 @@ class ElementalGraphsSpec extends AnyFunSuite {
 
   test("the constructor rejects an id left of its segment, naming the layer and slot") {
     val n = 1000
-    val (l1, _) = SegmentTree.childContaining(0, n - 1, n - 1)
+    val (l1, _) = TreeOracles.childContaining(0, n - 1, n - 1)
     val slot = (n - 1) * m
     val e = intercept[IllegalArgumentException](handMade(n, (1, slot, l1 - 1)))
     assert(e.getMessage.contains(s"layer 1 slot $slot"), e.getMessage)
@@ -98,7 +99,7 @@ class ElementalGraphsSpec extends AnyFunSuite {
 
   test("n = 8: the constructor rejects a neighbor right of its segment, which BasicSearch would return") {
     // Node 0's layer-1 segment is [0, 3]; the query (4.6, 0) is nearest to 5.
-    assert(SegmentTree.segmentAt(8, 1, 0) == ((0, 3)))
+    assert(TreeOracles.segmentAt(8, 1, 0) == ((0, 3)))
     assertRejected("layer 1 slot 0", "outside") {
       BasicSearch.search(line, handMade(8, (1, 0, 5)), Array(4.6f, 0f), 0, 3, 4, 10)
     }

@@ -10,7 +10,7 @@ class IRangeGraphSpec extends AnyFunSuite {
   private val n = 1024
   private val vs = TestData.clusteredVs(n, 10, clusters = 8, seed = 91)
   private val queries = TestData.nearQueries(vs, 25, seed = 92)
-  private lazy val ir = IRangeGraph.build(vs, m = 10, ef = 60)
+  private lazy val ir = new IRangeGraph(vs, ElementalGraphBuilder.build(vs, m = 10, ef = 60))
 
   private def gtFor(ranges: Array[(Int, Int)], k: Int): Array[Array[Int]] =
     queries.indices.toArray.map { qi =>
@@ -134,7 +134,8 @@ class IRangeGraphSpec extends AnyFunSuite {
     // Build an elemental-graph index on exactly [L,R] and compare recall at
     // equal beam — the Section 5.2.4 gap, asserted loosely.
     val (l, r) = (300, 700)
-    val dedicated = IRangeGraph.build(vs.slice(l, r + 1), m = 10, ef = 60)
+    val sub = vs.slice(l, r + 1)
+    val dedicated = new IRangeGraph(sub, ElementalGraphBuilder.build(sub, m = 10, ef = 60))
     val gt = queries.map(q => BruteForce.topKIds(vs, q, l, r, 10))
     val beam = 80
     val gotOnTheFly = queries.map(q => ir.search(q, l, r, 10, beam).map(_.id))
@@ -147,7 +148,7 @@ class IRangeGraphSpec extends AnyFunSuite {
 
   test("works with n not a power of two") {
     val odd = TestData.clusteredVs(777, 8, clusters = 5, seed = 97)
-    val irOdd = IRangeGraph.build(odd, m = 8, ef = 50)
+    val irOdd = new IRangeGraph(odd, ElementalGraphBuilder.build(odd, m = 8, ef = 50))
     val q = TestData.nearQueries(odd, 1, seed = 98)(0)
     val got = irOdd.search(q, 100, 600, 10, 100).map(_.id)
     val exact = BruteForce.topKIds(odd, q, 100, 600, 10)

@@ -10,7 +10,7 @@ class MultiAttrSpec extends AnyFunSuite {
   private val n = 512
   private val vs = TestData.clusteredVs(n, 8, clusters = 6, seed = 121)
   private val queries = TestData.nearQueries(vs, 20, seed = 122)
-  private lazy val ir = IRangeGraph.build(vs, m = 8, ef = 50)
+  private lazy val ir = new IRangeGraph(vs, ElementalGraphBuilder.build(vs, m = 8, ef = 50))
 
   // Independent second attribute: a fixed pseudo-random permutation of ranks.
   private val attr2Rank: Array[Int] = {

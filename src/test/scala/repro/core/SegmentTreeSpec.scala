@@ -11,10 +11,10 @@ class SegmentTreeSpec extends AnyFunSuite {
   }
 
   test("childContaining picks the correct half") {
-    assert(SegmentTree.childContaining(0, 15, 6) == (0, 7))
-    assert(SegmentTree.childContaining(0, 15, 8) == (8, 15))
-    assert(SegmentTree.childContaining(0, 7, 7) == (4, 7))
-    assert(SegmentTree.childContaining(4, 7, 4) == (4, 5))
+    assert(TreeOracles.childContaining(0, 15, 6) == (0, 7))
+    assert(TreeOracles.childContaining(0, 15, 8) == (8, 15))
+    assert(TreeOracles.childContaining(0, 7, 7) == (4, 7))
+    assert(TreeOracles.childContaining(4, 7, 4) == (4, 5))
   }
 
   test("depth matches log2 for powers of two (Figure 1: n=16 has 5 layers)") {
@@ -37,7 +37,7 @@ class SegmentTreeSpec extends AnyFunSuite {
         val covered = Array.fill(n)(0)
         // enumerate segments at this layer via each rank's segment
         for (u <- 0 until n) {
-          val (l, r) = SegmentTree.segmentAt(n, lay, u)
+          val (l, r) = TreeOracles.segmentAt(n, lay, u)
           assert(l <= u && u <= r)
           covered(u) += 1
         }
@@ -47,19 +47,19 @@ class SegmentTreeSpec extends AnyFunSuite {
 
     test(s"segmentAt is consistent: same segment for all members (n=$n)") {
       for (lay <- 0 until SegmentTree.depth(n); u <- 0 until n by math.max(1, n / 37)) {
-        val (l, r) = SegmentTree.segmentAt(n, lay, u)
-        for (v <- l to r) assert(SegmentTree.segmentAt(n, lay, v) == (l, r))
+        val (l, r) = TreeOracles.segmentAt(n, lay, u)
+        for (v <- l to r) assert(TreeOracles.segmentAt(n, lay, v) == (l, r))
       }
     }
   }
 
   test("layer-0 segment is the full range") {
-    assert(SegmentTree.segmentAt(100, 0, 42) == (0, 99))
+    assert(TreeOracles.segmentAt(100, 0, 42) == (0, 99))
   }
 
   test("segmentAt bottoms out at the leaf") {
-    assert(SegmentTree.segmentAt(16, 4, 5) == (5, 5))
-    assert(SegmentTree.segmentAt(16, 99, 5) == (5, 5)) // beyond the leaf stays put
+    assert(TreeOracles.segmentAt(16, 4, 5) == (5, 5))
+    assert(TreeOracles.segmentAt(16, 99, 5) == (5, 5)) // beyond the leaf stays put
   }
 
   test("segmentsAtLayer partitions the rank space down to layer depth - 2") {
@@ -73,7 +73,7 @@ class SegmentTreeSpec extends AnyFunSuite {
   test("segmentsAtLayer matches segmentAt for every member") {
     for (lay <- 0 until SegmentTree.depth(600)) {
       for ((l, r) <- SegmentTree.segmentsAtLayer(600, lay); u <- l to r)
-        assert(SegmentTree.segmentAt(600, lay, u) == (l, r))
+        assert(TreeOracles.segmentAt(600, lay, u) == (l, r))
     }
   }
 
@@ -93,7 +93,7 @@ class SegmentTreeSpec extends AnyFunSuite {
         val pieces = SegmentTree.decompose(n, ql, qr)
         val covered = Array.fill(n)(0)
         for ((lay, l, r) <- pieces) {
-          assert(SegmentTree.segmentAt(n, lay, l) == (l, r),
+          assert(TreeOracles.segmentAt(n, lay, l) == (l, r),
             s"piece ($lay,$l,$r) is not a tree segment")
           for (u <- l to r) covered(u) += 1
         }

@@ -137,20 +137,20 @@ class BeamSearchSpec extends AnyFunSuite {
       assert(results(t)(i) == expected((i + 13 * t) % qs.length), s"thread $t search $i")
   }
 
-  test("a search nested in another's visit closure leaves both correct") {
+  test("a nested search throws IllegalStateException, and the next search on that thread is correct") {
     val big = TestData.randomVs(300, 6, seed = 46)
     val q = queries(0)
     val inner = queries(1)
-    val innerExpected = exhaustive(big, inner).toSeq
-    var nested = 0
+    val innerExpected = BruteForce.topK(big, inner, 0, 299, 10).toSeq
+    // The nested search starts from inside the outer one's visit closure.
+    intercept[IllegalStateException] {
+      BeamSearch.search(q, i => vs.dist2(i, q), Seq(0), beam = 60, k = 10,
+        neighbors = completeNeighbors(60),
+        visit = _ => exhaustive(big, inner).nonEmpty)
+    }
+    assert(exhaustive(big, inner).toSeq == innerExpected)
     val got = BeamSearch.search(q, i => vs.dist2(i, q), Seq(0), beam = 60, k = 10,
-      neighbors = completeNeighbors(60),
-      visit = _ => {
-        assert(exhaustive(big, inner).toSeq == innerExpected)
-        nested += 1
-        true
-      })
-    assert(nested > 0)
+      neighbors = completeNeighbors(60))
     assert(got.map(_.id).toSeq == BruteForce.topKIds(vs, q, 0, 59, 10).toSeq)
   }
 
