@@ -16,7 +16,7 @@ class Fig2SearchQualityBench extends repro.SparkSpec {
     val res = Tables.fig2(BenchContext.datasets.map(_.name))
     println(res.text)
 
-    for (d <- BenchContext.datasets.map(_.name); (w, _) <- BenchContext.workloadSpecs) {
+    for (d <- BenchContext.datasets.map(_.name); w <- BenchContext.fig2Workloads) {
       // iRangeGraph reaches 0.9 recall everywhere (paper observation (1)/(3)).
       assert(res.cell(d, w, "iRangeGraph").qpsAt09.isDefined,
         s"iRangeGraph failed to reach 0.9 recall on $d/$w")

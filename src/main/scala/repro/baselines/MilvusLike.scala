@@ -35,7 +35,7 @@ final class MilvusLike(
              extraAdmit: Int => Boolean = _ => true): Array[Candidate] = {
     vs.checkQuery(q, L, R, k)
     if (R - L + 1 <= bruteForceThreshold)
-      return BruteForce.topK(vs, q, L, R, k, extraAdmit)
+      return PreFiltering.search(vs, q, L, R, k, extraAdmit)
     // The partitions that intersect [L, R] are those from L's to R's.
     val first = RankBlocks.blockOf(vs.n, parts, L)
     val lists = (first to RankBlocks.blockOf(vs.n, parts, R)).map { p =>

@@ -2,6 +2,7 @@ package repro.bench
 
 import java.util.concurrent.{CompletableFuture, CompletionException, ForkJoinPool}
 import repro.data.GroundTruth
+import repro.graph.Candidate
 
 /** Timing, qps-recall sweeps and table formatting shared by every bench. */
 object BenchUtil {
@@ -56,15 +57,11 @@ object BenchUtil {
     * point (single-threaded query loop, matching the paper's measurement).
     * Two timed passes of at least [[MinPassCpuSeconds]] each, the faster
     * taken — a single GC pause otherwise distorts the qps of a short loop.
-    * qps is queries run / CPU seconds.
+    * qps is queries run / CPU seconds. The candidates' ids are read only
+    * after the timed passes, to score recall against `gt`.
     */
-  def measure(
-      search: (Int, Int) => Array[Int], // (qid, beam) => result ids
-      nQueries: Int,
-      beam: Int,
-      gt: Array[Array[Int]],
-  ): CurvePoint = {
-    val results = new Array[Array[Int]](nQueries)
+  def measure(search: Tables.Search, beam: Int, gt: Array[Array[Int]]): CurvePoint = {
+    val results = new Array[Array[Candidate]](gt.length)
     var bestQps = 0.0
     var pass = 0
     while (pass < 2) {
@@ -73,33 +70,30 @@ object BenchUtil {
       var cpu = 0.0
       while (cpu < MinPassCpuSeconds) {
         var qid = 0
-        while (qid < nQueries) {
+        while (qid < results.length) {
           results(qid) = search(qid, beam)
           qid += 1
         }
-        run += nQueries
+        run += results.length
         cpu = (threadMx.getCurrentThreadCpuTime - t0) / 1e9
       }
       bestQps = math.max(bestQps, run / cpu)
       pass += 1
     }
-    CurvePoint(beam, GroundTruth.meanRecall(gt, results), bestQps)
+    CurvePoint(beam, GroundTruth.meanRecall(gt, results.map(_.map(_.id))), bestQps)
   }
 
   /** The beams of every sweep, ascending. */
   val defaultBeams: Seq[Int] = Seq(10, 20, 40, 80, 160, 320, 640)
 
-  /** Full sweep over [[defaultBeams]] after an untimed warm-up at the
-    * smallest beam (JIT) as long as a timed pass. Stops early once recall
-    * reaches 0.995 (the curve is flat after that).
+  /** Full sweep over [[defaultBeams]]. Stops early once recall reaches
+    * 0.995 (the curve is flat after that).
     */
-  def sweep(search: (Int, Int) => Array[Int], nQueries: Int,
-            gt: Array[Array[Int]]): Seq[CurvePoint] = {
-    val _ = measure(search, nQueries, defaultBeams.head, gt) // warm-up
+  def sweep(search: Tables.Search, gt: Array[Array[Int]]): Seq[CurvePoint] = {
     val out = Seq.newBuilder[CurvePoint]
     var done = false
     for (b <- defaultBeams if !done) {
-      val p = measure(search, nQueries, b, gt)
+      val p = measure(search, b, gt)
       out += p
       if (p.recall >= 0.995) done = true
     }

@@ -4,17 +4,17 @@ import org.apache.spark.sql.SparkSession
 import repro.baselines._
 import repro.core.{DistributedBuilder, IRangeGraph}
 import repro.data.RfDataset
-import repro.graph.Hnsw
+import repro.graph.{Candidate, Hnsw}
 
-/** A built RFANN method: name, cost accounting and a search closure
-  * `(q, L, R, k, beam) => result ids` — the uniform interface every bench
+/** A built RFANN method: name, cost accounting and its search
+  * `(q, L, R, k, beam) => candidates` — the uniform interface every bench
   * sweeps over.
   */
 final case class BuiltMethod(
     name: String,
     indexBytes: Long,
     buildSeconds: Double,
-    searchFn: (Array[Float], Int, Int, Int, Int) => Array[Int],
+    searchFn: (Array[Float], Int, Int, Int, Int) => Array[Candidate],
 )
 
 /** All single-attribute methods of Section 5.1 built over one dataset, with
@@ -69,20 +69,13 @@ object MethodSuite {
     val (sVamana, tSv) = cpuSeconds(new StitchedVamana(vs, VamanaBuckets, M, EF))
 
     val methods = Seq(
-      BuiltMethod("iRangeGraph", irg.sizeBytes, tIrg,
-        (q, l, r, k, beam) => irg.search(q, l, r, k, beam).map(_.id)),
-      BuiltMethod("2DSegmentGraph", serf.sizeBytes, tSerf,
-        (q, l, r, k, beam) => serf.search(q, l, r, k, beam).map(_.id)),
-      BuiltMethod("FilteredVamana", fVamana.sizeBytes, tFv,
-        (q, l, r, k, beam) => fVamana.search(q, l, r, k, beam).map(_.id)),
-      BuiltMethod("StitchedVamana", sVamana.sizeBytes, tSv,
-        (q, l, r, k, beam) => sVamana.search(q, l, r, k, beam).map(_.id)),
-      BuiltMethod("Milvus", milvus.sizeBytes, tMilvus,
-        (q, l, r, k, beam) => milvus.search(q, l, r, k, beam).map(_.id)),
-      BuiltMethod("SuperPostfiltering", superPost.sizeBytes, tSuper,
-        (q, l, r, k, beam) => superPost.search(q, l, r, k, beam).map(_.id)),
-      BuiltMethod("Pre-filtering", 0L, 0.0,
-        (q, l, r, k, _) => PreFiltering.search(vs, q, l, r, k).map(_.id)),
+      BuiltMethod("iRangeGraph", irg.sizeBytes, tIrg, irg.search(_, _, _, _, _)),
+      BuiltMethod("2DSegmentGraph", serf.sizeBytes, tSerf, serf.search(_, _, _, _, _)),
+      BuiltMethod("FilteredVamana", fVamana.sizeBytes, tFv, fVamana.search(_, _, _, _, _)),
+      BuiltMethod("StitchedVamana", sVamana.sizeBytes, tSv, sVamana.search(_, _, _, _, _)),
+      BuiltMethod("Milvus", milvus.sizeBytes, tMilvus, milvus.search(_, _, _, _, _)),
+      BuiltMethod("SuperPostfiltering", superPost.sizeBytes, tSuper, superPost.search(_, _, _, _, _)),
+      BuiltMethod("Pre-filtering", 0L, 0.0, (q, l, r, k, _) => PreFiltering.search(vs, q, l, r, k)),
     )
     MethodSuite(ds, irg, tHnsw, tSparkIrg, serf, milvus, methods)
   }

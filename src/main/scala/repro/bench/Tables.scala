@@ -2,7 +2,9 @@ package repro.bench
 
 import repro.baselines.{OracleHnsw, PreFiltering}
 import repro.core.{BasicSearch, MultiAttr}
-import repro.data.{GroundTruth, RfDataset, Workload}
+import repro.data.RfDataset
+import repro.graph.Candidate
+import BenchContext.PreparedWorkload
 import BenchUtil._
 
 /** One harness function per evaluation artifact (Tables 1–3, Figures 2–5 as
@@ -11,8 +13,8 @@ import BenchUtil._
   */
 object Tables {
 
-  /** A search over a workload: (qid, beam) => result ids. */
-  type Search = (Int, Int) => Array[Int]
+  /** A search over a workload: (qid, beam) => the method's candidates. */
+  type Search = (Int, Int) => Array[Candidate]
 
   /** One cell of Figures 2–5: qps at 0.9 recall (None = never reached) and
     * the highest recall of the method's sweep.
@@ -75,14 +77,18 @@ object Tables {
 
   /** Sweeps every variant's beam over the workload's queries and reads off
     * qps at 0.9 recall and the max recall: the one computation behind
-    * every Figure 2–5 cell.
+    * every Figure 2–5 cell. Every variant gets an untimed warm-up, as long
+    * as a timed pass, before any variant is timed, so the first variant
+    * timed does not read code the JIT is still compiling for the others.
     */
-  private[bench] def cells(dataset: String, workload: String, gt: Array[Array[Int]],
-                           variants: Seq[(String, Search)]): Seq[Cell] =
+  private[bench] def cells(dataset: String, w: PreparedWorkload,
+                           variants: Seq[(String, Search)]): Seq[Cell] = {
+    for ((_, search) <- variants) { val _ = measure(search, defaultBeams.head, w.gt) }
     variants.map { case (method, search) =>
-      val curve = BenchUtil.sweep(search, gt.length, gt)
-      Cell(dataset, workload, method, qpsAtRecall(curve, 0.9), maxRecall(curve))
+      val curve = sweep(search, w.gt)
+      Cell(dataset, w.name, method, qpsAtRecall(curve, 0.9), maxRecall(curve))
     }
+  }
 
   private[bench] def figure(title: String, cells: Seq[Cell]): Figure =
     Figure(cells, formatTable(title, Seq("dataset", "workload", "method", "qps@0.9", "maxRecall"),
@@ -91,71 +97,46 @@ object Tables {
   private def selected(datasetNames: Seq[String]): Seq[RfDataset] =
     BenchContext.datasets.filter(ds => datasetNames.contains(ds.name))
 
-  def fig2(datasetNames: Seq[String]): Figure = {
-    val k = BenchContext.k
+  def fig2(datasetNames: Seq[String]): Figure =
     figure(
       "Figure 2 (as table) - single-attribute RFANN: qps @ 0.9 recall ('fail' = never reaches 0.9) and max recall",
       for {
         ds <- selected(datasetNames)
         suite = BenchContext.suite(ds)
-        (wname, _) <- BenchContext.workloadSpecs
+        wname <- BenchContext.fig2Workloads
         w = BenchContext.workload(ds, wname)
-        cell <- cells(ds.name, wname, w.gt, suite.methods.map(m => m.name -> ((qid: Int, beam: Int) => {
-          val (l, r) = w.ranges(qid)
-          m.searchFn(ds.queries(qid), l, r, k, beam)
-        })))
+        cell <- cells(ds.name, w, suite.methods.map(m => m.name -> w.over(m.searchFn)))
       } yield cell)
-  }
 
   /** Ablation on the mixed workload: full iRangeGraph vs no-layer-skip
     * edge selection (iRangeGraph⁻) vs the classical per-canonical-segment
     * search (BasicSearch).
     */
-  def fig3(datasetNames: Seq[String]): Figure = {
-    val k = BenchContext.k
+  def fig3(datasetNames: Seq[String]): Figure =
     figure("Figure 3 (as table) - ablation on mixed workload: qps @ 0.9 recall",
       selected(datasetNames).flatMap { ds =>
-        val irg = BenchContext.suite(ds).irg
+        val suite = BenchContext.suite(ds)
         val w = BenchContext.workload(ds, "mixed")
-        cells(ds.name, "mixed", w.gt, Seq(
-          "iRangeGraph" -> ((qid, beam) => {
-            val (l, r) = w.ranges(qid)
-            irg.search(ds.queries(qid), l, r, k, beam).map(_.id)
-          }),
-          "iRangeGraph-" -> ((qid, beam) => {
-            val (l, r) = w.ranges(qid)
-            irg.search(ds.queries(qid), l, r, k, beam, skipLayers = false).map(_.id)
-          }),
-          "BasicSearch" -> ((qid, beam) => {
-            val (l, r) = w.ranges(qid)
-            BasicSearch.search(ds.vs, irg.graphs, ds.queries(qid), l, r, k, beam).map(_.id)
-          }),
+        cells(ds.name, w, Seq(
+          "iRangeGraph" -> w.over(suite.method("iRangeGraph").searchFn),
+          "iRangeGraph-" -> w.over(suite.irg.search(_, _, _, _, _, skipLayers = false)),
+          "BasicSearch" -> w.over(BasicSearch.search(ds.vs, suite.irg.graphs, _, _, _, _, _)),
         ))
       })
-  }
 
   /** Oracle gap (Section 5.2.4): shared-range mixed workload (10 distinct
     * ranges) so only 10 oracle HNSWs are materialized. Their build seconds
     * are printed under the table, one line per dataset.
     */
   def fig4(datasetNames: Seq[String]): Figure = {
-    val k = BenchContext.k
     val runs = selected(datasetNames).map { ds =>
-      val irg = BenchContext.suite(ds).irg
-      val (distinct, rqs) = Workload.sharedMixed(ds.n, BenchContext.nQueries)
-      val ranges = rqs.map(rq => (rq.L, rq.R))
-      val gt = GroundTruth.computeSpark(BenchContext.spark, ds.vs, ds.queries, ranges, k)
+      val suite = BenchContext.suite(ds)
+      val w = BenchContext.workload(ds, "shared-mixed")
       val (oracle, tOracle) = cpuSeconds(
-        new OracleHnsw(ds.vs, distinct, MethodSuite.M, MethodSuite.EF))
-      (cells(ds.name, "shared-mixed", gt, Seq(
-         "iRangeGraph" -> ((qid, beam) => {
-           val (l, r) = ranges(qid)
-           irg.search(ds.queries(qid), l, r, k, beam).map(_.id)
-         }),
-         "Oracle-HNSW" -> ((qid, beam) => {
-           val (l, r) = ranges(qid)
-           oracle.search(ds.queries(qid), l, r, k, beam).map(_.id)
-         }),
+        new OracleHnsw(ds.vs, w.ranges, MethodSuite.M, MethodSuite.EF))
+      (cells(ds.name, w, Seq(
+         "iRangeGraph" -> w.over(suite.method("iRangeGraph").searchFn),
+         "Oracle-HNSW" -> w.over(oracle.search(_, _, _, _, _)),
        )),
        f"Oracle-HNSW build on ${ds.name}: $tOracle%.1f s")
     }
@@ -166,33 +147,33 @@ object Tables {
   }
 
   /** Multi-attribute RFANN (Section 5.2.5) on the two 2-attribute analogs:
-    * both attribute ranges with expected fraction 2⁻².
+    * both attribute ranges with expected fraction 2⁻². Each variant reads
+    * query qid's second range (and the iRangeGraph+ seed), so it is
+    * written per query.
     */
   def fig5(datasetNames: Seq[String] = Seq("ytrgb-lite", "ytaudio-lite")): Figure = {
     val k = BenchContext.k
     figure("Figure 5 (as table) - multi-attribute RFANN: qps @ 0.9 recall",
       selected(datasetNames).flatMap { ds =>
         val suite = BenchContext.suite(ds)
-        val qs = Workload.multiAttr(ds.n, BenchContext.nQueries)
-        val r1 = qs.map(q => (q.L1, q.R1))
-        val r2 = qs.map(q => (q.L2, q.R2))
-        val gt = GroundTruth.computeSpark(BenchContext.spark, ds.vs, ds.queries, r1, k,
-          attr2Rank = ds.attr2Rank, ranges2 = r2)
-        def in2(qid: Int)(i: Int): Boolean = {
-          val a = ds.attr2Rank(i); a >= r2(qid)._1 && a <= r2(qid)._2
+        val w = BenchContext.workload(ds, "both-2^-2")
+        def multiAttr(strategy: Long => MultiAttr.Strategy): Search = (qid, beam) => {
+          val ((l1, r1), (l2, r2)) = (w.ranges(qid), w.ranges2(qid))
+          MultiAttr.search(suite.irg, ds.attr2Rank, w.queries(qid), l1, r1, l2, r2, k, beam,
+            strategy(qid.toLong * 31 + beam))
         }
-        def multiAttr(strategy: Long => MultiAttr.Strategy): Search = (qid, beam) =>
-          MultiAttr.search(suite.irg, ds.attr2Rank, ds.queries(qid), r1(qid)._1, r1(qid)._2,
-            r2(qid)._1, r2(qid)._2, k, beam, strategy(qid.toLong * 31 + beam)).map(_.id)
-        cells(ds.name, "both-2^-2", gt, Seq(
+        // A baseline's search with query qid's second-attribute predicate.
+        def filtered(search: (Array[Float], Int, Int, Int, Int, Int => Boolean) => Array[Candidate]): Search =
+          (qid, beam) => {
+            val ((l1, r1), (l2, r2)) = (w.ranges(qid), w.ranges2(qid))
+            search(w.queries(qid), l1, r1, k, beam, i => { val a = ds.attr2Rank(i); a >= l2 && a <= r2 })
+          }
+        cells(ds.name, w, Seq(
           "iRangeGraph" -> multiAttr(_ => MultiAttr.PostFilter),
           "iRangeGraph+" -> multiAttr(MultiAttr.Probabilistic(_)),
-          "2DSegmentGraph" -> ((qid, beam) => suite.serf.search(ds.queries(qid),
-            r1(qid)._1, r1(qid)._2, k, beam, extraAdmit = in2(qid)).map(_.id)),
-          "Milvus" -> ((qid, beam) => suite.milvus.search(ds.queries(qid),
-            r1(qid)._1, r1(qid)._2, k, beam, extraAdmit = in2(qid)).map(_.id)),
-          "Pre-filtering" -> ((qid, _) => PreFiltering.search(ds.vs,
-            ds.queries(qid), r1(qid)._1, r1(qid)._2, k, in2(qid)).map(_.id)),
+          "2DSegmentGraph" -> filtered(suite.serf.search),
+          "Milvus" -> filtered(suite.milvus.search),
+          "Pre-filtering" -> filtered((q, l, r, k, _, pred) => PreFiltering.search(ds.vs, q, l, r, k, pred)),
         ))
       })
   }

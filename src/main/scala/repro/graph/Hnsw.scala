@@ -126,10 +126,8 @@ final class Hnsw private (
 
   /** ANN search; `admit` plugs in the Post-filtering strategies. */
   def search(q: Array[Float], k: Int, ef: Int,
-             admit: Int => Boolean = BeamSearch.AdmitAll): Array[Candidate] = {
-    if (entryPoint < 0) return Array.empty
+             admit: Int => Boolean = BeamSearch.AdmitAll): Array[Candidate] =
     searchBase(q, Seq(descend(q, 0)), k, ef, admit = admit)
-  }
 
   /** Base-layer-only search from caller-chosen entry points — used by the
     * In-filtering strategy, whose entry must itself be in-range (the greedy

@@ -2,8 +2,11 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.bench.BenchUtil._
+import repro.graph.Candidate
 
 class BenchUtilSpec extends AnyFunSuite {
+
+  private def candidates(ids: Int*): Array[Candidate] = ids.map(Candidate(_, 0f)).toArray
 
   test("qpsAtRecall returns None when the target is never reached") {
     val curve = Seq(CurvePoint(10, 0.5, 1000), CurvePoint(20, 0.7, 600))
@@ -35,14 +38,14 @@ class BenchUtilSpec extends AnyFunSuite {
 
   test("measure computes recall against ground truth") {
     val gt = Array(Array(1, 2), Array(3, 4))
-    val p = measure((qid, _) => if (qid == 0) Array(1, 2) else Array(3, 9), 2, 10, gt)
+    val p = measure((qid, _) => if (qid == 0) candidates(1, 2) else candidates(3, 9), 10, gt)
     assert(math.abs(p.recall - 0.75) < 1e-9)
     assert(p.qps > 0)
   }
 
   test("sweep stops early at stopRecall") {
     val gt = Array(Array(1))
-    val curve = sweep((_, _) => Array(1), 1, gt)
+    val curve = sweep((_, _) => candidates(1), gt)
     assert(curve.length == 1) // first beam already at recall 1.0
   }
 
